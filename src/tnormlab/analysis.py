@@ -55,6 +55,7 @@ __all__ = [
     "check_pseudo_homogeneous",
     "check_archimedean",
     "scan_diagonal",
+    "diagonal_shelf",
     "check_tm_equivalences",
     "check_continuity_equivalence",
     "find_gph_counterexample",
@@ -298,6 +299,18 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # Scaling-equation sweeps
 # --------------------------------------------------------------------------
 
+def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
+    """Yield (lam, X, Y, lhs, rhs, residual) for each grid lambda in scan
+    order: both sides of the scaling equation over the (x, y) grid."""
+    g = grid.axis()
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    T_xy = tnorm_values(spec, X, Y)
+    for lam in g:
+        lhs = tnorm_values(spec, lam * X, lam * Y)
+        rhs = companion_values(comp, lam, T_xy)
+        yield lam, X, Y, lhs, rhs, np.abs(lhs - rhs)
+
+
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
               grid: GridSpec = GridSpec()) -> Report:
     """Residual sweep of T(l*x, l*y) = F(l, T(x, y)).
@@ -308,16 +321,9 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     random triples; the witness is the first maximal-gap triple.
     """
     comp = canonical_f(spec) if f is None else f
-    g = grid.axis()
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    T_xy = tnorm_values(spec, X, Y)
-
     best_gap = -1.0
     best = None
-    for lam in g:
-        lhs = tnorm_values(spec, lam * X, lam * Y)
-        rhs = companion_values(comp, lam, T_xy)
-        res = np.abs(lhs - rhs)
+    for lam, X, Y, lhs, rhs, res in _gph_slices(spec, comp, grid):
         m = float(res.max())
         if m > best_gap:
             idx = int(np.argmax(np.ravel(res)))
@@ -391,23 +397,9 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
     tol = grid.eq_tol
 
     # (a) nondecreasing in each argument
-    dx = F[1:, :] - F[:-1, :]
-    dy = F[:, 1:] - F[:, :-1]
-    inc_violation = max(float(np.maximum(-dx, 0.0).max()),
-                        float(np.maximum(-dy, 0.0).max()))
+    inc_violation, inc_witness = _max_adjacent_jump(
+        F, g, lambda step: np.maximum(-step, 0.0))
     inc_ok = inc_violation <= tol
-    inc_witness = None
-    if not inc_ok:
-        if float(np.maximum(-dx, 0.0).max()) >= float(np.maximum(-dy, 0.0).max()):
-            i, j = np.unravel_index(int(np.argmax(np.ravel(-dx))), dx.shape)
-            inc_witness = Witness(1.0, float(g[i + 1]), float(g[j]),
-                                  float(F[i + 1, j]), float(F[i, j]),
-                                  float(F[i, j] - F[i + 1, j]))
-        else:
-            i, j = np.unravel_index(int(np.argmax(np.ravel(-dy))), dy.shape)
-            inc_witness = Witness(1.0, float(g[i]), float(g[j + 1]),
-                                  float(F[i, j + 1]), float(F[i, j]),
-                                  float(F[i, j] - F[i, j + 1]))
 
     # (b) F(x, 1) = 0 iff x = 0
     col = companion_values(f, g, np.ones_like(g))
@@ -424,22 +416,8 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
 
     # (c) continuity at grid scale
     threshold = CONTINUITY_JUMP_FACTOR * grid.spacing
-    jumps = max(float(np.abs(dx).max()), float(np.abs(dy).max()))
+    jumps, cont_witness = _max_adjacent_jump(F, g)
     cont_ok = jumps <= threshold
-    cont_witness = None
-    if not cont_ok:
-        adx = np.abs(dx)
-        ady = np.abs(dy)
-        if float(adx.max()) >= float(ady.max()):
-            i, j = np.unravel_index(int(np.argmax(np.ravel(adx))), adx.shape)
-            cont_witness = Witness(1.0, float(g[i + 1]), float(g[j]),
-                                   float(F[i + 1, j]), float(F[i, j]),
-                                   float(adx[i, j]))
-        else:
-            i, j = np.unravel_index(int(np.argmax(np.ravel(ady))), ady.shape)
-            cont_witness = Witness(1.0, float(g[i]), float(g[j + 1]),
-                                   float(F[i, j + 1]), float(F[i, j]),
-                                   float(ady[i, j]))
 
     passed = inc_ok and boundary_ok and cont_ok
     witness = None
@@ -526,6 +504,29 @@ def check_archimedean(spec: TNormSpec,
 # Diagonal scan
 # --------------------------------------------------------------------------
 
+def diagonal_shelf(g: np.ndarray, d: np.ndarray,
+                   tol: float) -> tuple[bool, Optional[tuple[float, float]]]:
+    """Zero/identity structure of a diagonal ``d`` sampled on the grid ``g``.
+
+    Returns whether ``d`` vanishes (within ``tol``) on the whole interior
+    of the grid, and, when the interior instead starts with a zero plateau
+    followed only by identity values, the last plateau point and the first
+    identity point (None otherwise).  The shelf edge lies between them.
+    """
+    interior = (g > 0.0) & (g < 1.0)
+    gi = g[interior]
+    di = d[interior]
+    is_zero = di <= tol
+    if bool(np.all(is_zero)):
+        return True, None
+    if not is_zero[0]:
+        return False, None
+    k = int(np.argmin(is_zero))  # first non-plateau index; >=1 here
+    if not np.all(di[k:] >= gi[k:] - tol):
+        return False, None
+    return False, (float(gi[k - 1]), float(gi[k]))
+
+
 def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     """Monotonicity of the diagonal, its limit at 1, and the shelf edge.
 
@@ -558,20 +559,8 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     else:
         limit = None
 
-    # interior plateau / identity structure
-    interior = (g > 0.0) & (g < 1.0)
-    gi = g[interior]
-    di = d[interior]
-    is_zero = di <= tol
-    is_identity = di >= gi - tol
-    zero_on_interior = bool(np.all(is_zero))
-    shelf_edge = None
-    plateau_end = None
-    if not zero_on_interior and is_zero[0]:
-        k = int(np.argmin(is_zero))  # first non-plateau index; >=1 here
-        if np.all(is_identity[k:]):
-            plateau_end = float(gi[k - 1])
-            shelf_edge = float(gi[k])
+    zero_on_interior, shelf = diagonal_shelf(g, d, tol)
+    plateau_end, shelf_edge = shelf if shelf is not None else (None, None)
 
     passed = mono_ok and limit is not None
     witness = None
@@ -655,16 +644,24 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
 # Continuity equivalence
 # --------------------------------------------------------------------------
 
-def _max_adjacent_jump(values: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    dx = np.abs(values[1:, :] - values[:-1, :])
-    dy = np.abs(values[:, 1:] - values[:, :-1])
+def _max_adjacent_jump(values: np.ndarray, g: np.ndarray,
+                       measure=np.abs) -> tuple[float, Witness]:
+    """Largest ``measure`` of the step between neighbouring cells of a table
+    over ``g`` x ``g`` (later cell minus earlier), and a witness at the
+    first such pair; x-neighbours win ties.  The witness gives the later
+    cell's coordinates, lhs = its value, rhs = the earlier cell's value and
+    gap = the measured step."""
+    dx = measure(values[1:, :] - values[:-1, :])
+    dy = measure(values[:, 1:] - values[:, :-1])
     mx = float(dx.max())
     my = float(dy.max())
     if mx >= my:
         i, j = np.unravel_index(int(np.argmax(np.ravel(dx))), dx.shape)
-        return mx, (0, int(i), int(j))
+        return mx, Witness(1.0, float(g[i + 1]), float(g[j]),
+                           float(values[i + 1, j]), float(values[i, j]), mx)
     i, j = np.unravel_index(int(np.argmax(np.ravel(dy))), dy.shape)
-    return my, (1, int(i), int(j))
+    return my, Witness(1.0, float(g[i]), float(g[j + 1]),
+                       float(values[i, j + 1]), float(values[i, j]), my)
 
 
 def check_continuity_equivalence(spec: TNormSpec,
@@ -676,23 +673,15 @@ def check_continuity_equivalence(spec: TNormSpec,
     T = tnorm_values(spec, X, Y)
     F = companion_values(canonical_f(spec), X, Y)
     threshold = CONTINUITY_JUMP_FACTOR * grid.spacing
-    t_jump, t_loc = _max_adjacent_jump(T)
-    f_jump, f_loc = _max_adjacent_jump(F)
+    t_jump, t_witness = _max_adjacent_jump(T, g)
+    f_jump, f_witness = _max_adjacent_jump(F, g)
     t_cont = t_jump <= threshold
     f_cont = f_jump <= threshold
     passed = t_cont == f_cont
 
     witness = None
     if not passed:
-        jump, loc, table = ((t_jump, t_loc, T) if t_jump >= f_jump
-                            else (f_jump, f_loc, F))
-        axis, i, j = loc
-        if axis == 0:
-            witness = Witness(1.0, float(g[i + 1]), float(g[j]),
-                              float(table[i + 1, j]), float(table[i, j]), jump)
-        else:
-            witness = Witness(1.0, float(g[i]), float(g[j + 1]),
-                              float(table[i, j + 1]), float(table[i, j]), jump)
+        witness = t_witness if t_jump >= f_jump else f_witness
 
     metadata = {
         "tnorm": spec_label(spec),
@@ -791,13 +780,7 @@ def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
     """Yield (lambda, x, y, lhs, rhs, residual) for every grid triple, in
     scan order.  Streams one lambda slice at a time."""
     comp = canonical_f(spec) if f is None else f
-    g = grid.axis()
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    T_xy = tnorm_values(spec, X, Y)
-    for lam in g:
-        lhs = tnorm_values(spec, lam * X, lam * Y)
-        rhs = companion_values(comp, lam, T_xy)
-        res = np.abs(lhs - rhs)
+    for lam, X, Y, lhs, rhs, res in _gph_slices(spec, comp, grid):
         flat_x = np.ravel(X)
         flat_y = np.ravel(Y)
         flat_l = np.ravel(lhs)

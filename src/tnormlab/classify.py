@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .analysis import GridSpec, check_axioms, find_gph_counterexample
+from .analysis import GridSpec, check_axioms, diagonal_shelf, find_gph_counterexample
 from .core import (
     CShelf,
     Drastic,
@@ -216,6 +217,11 @@ def fit_beta(spec: TNormSpec, grid: GridSpec = GridSpec()) -> tuple[float, float
 # Classification
 # --------------------------------------------------------------------------
 
+def _validation_test(family: str) -> str:
+    """Evidence name of a family's validation: validate_<snake_case name>."""
+    return "validate_" + re.sub(r"(?<=[a-z])(?=[A-Z])", "_", family).lower()
+
+
 def _refine_shelf_edge(spec: TNormSpec, lo: float, hi: float,
                        eq_tol: float, step_h: float) -> float:
     """Bisect the diagonal's jump point: zero at lo, identity at hi."""
@@ -252,15 +258,11 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                   parameter: Optional[float]) -> Optional[ClassificationResult]:
         residual = _validation_residual(spec, candidate, grid)
         ok = residual <= grid.eq_tol
-        evidence.append({"test": f"validate_{family}", "passed": ok,
+        evidence.append({"test": _validation_test(family), "passed": ok,
                          "detail": {"candidate": spec_label(candidate),
                                     "residual": residual}})
         if ok:
-            name = {"minimum": "Minimum", "product": "Product",
-                    "drastic": "Drastic", "cshelf": "CShelf",
-                    "schweizer_sklar_pos": "SchweizerSklarPos",
-                    "schweizer_sklar_neg": "SchweizerSklarNeg"}[family]
-            return ClassificationResult(name, parameter, residual,
+            return ClassificationResult(family, parameter, residual,
                                         tuple(evidence))
         return None
 
@@ -269,33 +271,27 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     evidence.append({"test": "idempotent_diagonal", "passed": idempotent,
                      "detail": {"max_deviation": float(np.abs(d - g).max())}})
     if idempotent:
-        result = validated("minimum", Minimum(), None)
+        result = validated("Minimum", Minimum(), None)
         if result:
             return result
 
     # (2) diagonal structure: all-zero interior -> Drastic,
     #     zero plateau then identity -> CShelf
-    interior = (g > 0.0) & (g < 1.0)
-    gi, di = g[interior], d[interior]
-    zero_interior = bool(np.all(di <= grid.eq_tol))
+    zero_interior, shelf = diagonal_shelf(g, d, grid.eq_tol)
     evidence.append({"test": "zero_diagonal", "passed": zero_interior,
                      "detail": {}})
     if zero_interior:
-        result = validated("drastic", Drastic(), None)
+        result = validated("Drastic", Drastic(), None)
         if result:
             return result
 
     shelf_edge = None
-    if not zero_interior and di[0] <= grid.eq_tol:
-        k = int(np.argmin(di <= grid.eq_tol))
-        if np.all(di[k:] >= gi[k:] - grid.eq_tol):
-            c_hat = _refine_shelf_edge(spec, float(gi[k - 1]), float(gi[k]),
-                                       grid.eq_tol, grid.step_h)
-            shelf_edge = c_hat
+    if shelf is not None:
+        shelf_edge = _refine_shelf_edge(spec, *shelf, grid.eq_tol, grid.step_h)
     evidence.append({"test": "shelf_pattern", "passed": shelf_edge is not None,
                      "detail": {"shelf_edge": shelf_edge}})
     if shelf_edge is not None:
-        result = validated("cshelf", CShelf(shelf_edge), shelf_edge)
+        result = validated("CShelf", CShelf(shelf_edge), shelf_edge)
         if result:
             return result
 
@@ -306,7 +302,7 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     evidence.append({"test": "product_match", "passed": product_match,
                      "detail": {"max_deviation": prod_dev}})
     if product_match:
-        result = validated("product", Product(), None)
+        result = validated("Product", Product(), None)
         if result:
             return result
 
@@ -322,16 +318,15 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
         evidence.append({"test": "beta_fit", "passed": False,
                          "detail": {"error": str(err)}})
     if beta_hat is not None:
-        family = ("schweizer_sklar_pos" if beta_hat > 0
-                  else "schweizer_sklar_neg")
+        family = "SchweizerSklarPos" if beta_hat > 0 else "SchweizerSklarNeg"
         result = validated(family, SchweizerSklar(beta_hat), beta_hat)
         if result:
             return result
 
     # NotGPH: record how far the closed kinds are and certify with a witness
-    for family, candidate in (("minimum", Minimum()), ("product", Product()),
-                              ("drastic", Drastic())):
-        if not any(e["test"] == f"validate_{family}" for e in evidence):
+    for family, candidate in (("Minimum", Minimum()), ("Product", Product()),
+                              ("Drastic", Drastic())):
+        if not any(e["test"] == _validation_test(family) for e in evidence):
             result = validated(family, candidate, None)
             if result:  # a branch predicate was too strict; the residual rules
                 return result

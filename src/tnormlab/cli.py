@@ -17,8 +17,9 @@ T-norm mini-syntax (one token)::
                          non-osum, non-expr token)
     expr:<dsl>           expression in x and y, e.g. expr:max(x+y-1,0)
 
-Companions: --f catalog (the family's paired companion), --f canonical
-(F(x,y) = T(x,x*y), also the default for verify), or --f-expr '<dsl>'.
+Companions: --f canonical (F(x,y) = T(x,x*y), also the default for
+verify), --f catalog (the same companion, accepted only for the six
+catalog kinds), or --f-expr '<dsl>'.
 The environment variable TNORMLAB_SEED supplies the sweep seed when
 --seed is not given.
 """
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import dsl
@@ -43,18 +45,12 @@ from .analysis import (
 )
 from .classify import PreconditionError, classify
 from .core import (
+    TNORM_KINDS,
     Canonical,
     Catalog,
     CompanionF,
-    CShelf,
     DomainError,
-    Drastic,
     Expr,
-    Lukasiewicz,
-    Minimum,
-    OrdinalSum,
-    Product,
-    SchweizerSklar,
     TNormSpec,
     eval_companion,
     eval_tnorm,
@@ -67,69 +63,34 @@ class UsageError(Exception):
     pass
 
 
-_NAMED = {
-    "min": Minimum,
-    "minimum": Minimum,
-    "prod": Product,
-    "product": Product,
-    "luk": Lukasiewicz,
-    "lukasiewicz": Lukasiewicz,
-    "drastic": Drastic,
-}
+#: mini-syntax name -> t-norm kind
+_KINDS = {token: kind for kind in TNORM_KINDS for token in kind.tokens}
 
 
 def parse_tnorm_token(token: str, allow_compound: bool = True) -> TNormSpec:
-    t = token.strip()
-    head = t.lower()
-    if head in _NAMED:
-        return _NAMED[head]()
-    if head.startswith("ss:"):
-        try:
-            return SchweizerSklar(float(t[3:]))
-        except ValueError as err:
-            raise UsageError(f"bad ss: parameter in {token!r}: {err}") from err
-    if head.startswith("cshelf:"):
-        try:
-            return CShelf(float(t[7:]))
-        except ValueError as err:
-            raise UsageError(f"bad cshelf: parameter in {token!r}: {err}") from err
-    if head.startswith("osum:"):
-        if not allow_compound:
-            raise UsageError("ordinal sums cannot nest in the mini-syntax")
-        body = t[5:].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise UsageError(f"osum needs the form osum:[a,e,T;...], got {token!r}")
-        summands = []
-        for part in body[1:-1].split(";"):
-            fields = part.split(",")
-            if len(fields) != 3:
-                raise UsageError(f"osum summand needs a,e,T; got {part!r}")
-            try:
-                lower = float(fields[0])
-                upper = float(fields[1])
-            except ValueError as err:
-                raise UsageError(f"bad osum bounds in {part!r}: {err}") from err
-            inner = parse_tnorm_token(fields[2], allow_compound=False)
-            summands.append((lower, upper, inner))
-        try:
-            return OrdinalSum(summands)
-        except (ValueError, DomainError) as err:
-            raise UsageError(f"bad ordinal sum {token!r}: {err}") from err
-    if head.startswith("expr:"):
-        if not allow_compound:
-            raise UsageError("expressions cannot nest in the mini-syntax")
-        return Expr(dsl.parse(t[5:]))
-    raise UsageError(f"unknown t-norm spec {token!r}; see --help for the"
-                     " mini-syntax")
+    head, colon, body = token.strip().partition(":")
+    head = head.lower()
+    kind = _KINDS.get(head)
+    # a kind with fields is written name:<body>, one without as its name
+    if kind is None or bool(colon) != bool(fields(kind)):
+        raise UsageError(f"unknown t-norm spec {token!r}; see --help for the"
+                         " mini-syntax")
+    if not (allow_compound or kind.catalog):
+        raise UsageError(f"{head} cannot nest in the mini-syntax")
+    try:
+        return kind.from_token(
+            body, lambda inner: parse_tnorm_token(inner, allow_compound=False))
+    except (ValueError, DomainError) as err:
+        raise UsageError(f"bad {head}: spec {token!r}: {err}") from err
 
 
 def _companion_from_args(args, spec: TNormSpec) -> Optional[CompanionF]:
     picked = []
-    if getattr(args, "f", None):
+    if args.f:
         picked.append(args.f)
-    if getattr(args, "f_expr", None):
+    if args.f_expr:
         picked.append("expr")
-    if getattr(args, "f_catalog", False):
+    if args.f_catalog:
         picked.append("catalog")
     if len(picked) > 1:
         raise UsageError("choose one companion source: --f, --f-expr or"
@@ -158,26 +119,33 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
-    else:
+        return
+    try:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`); the verdict's exit code
+        # still stands.  Point stdout at devnull so the interpreter's final
+        # flush of the unsent rest cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_report(args, report: Report, spec=None, companion=None,
                  grid: Optional[GridSpec] = None) -> None:
-    if getattr(args, "csv", False):
+    if args.csv:
         lines = [RESIDUAL_CSV_HEADER]
         for lam, x, y, lhs, rhs, res in residual_rows(spec, companion, grid):
             lines.append(f"{lam!r},{x!r},{y!r},{lhs!r},{rhs!r},{res!r}")
         _write(args, "\n".join(lines))
         return
-    if getattr(args, "json", False):
+    if args.json:
         _write(args, report.to_json())
         return
     _write(args, report.summary())
@@ -194,8 +162,6 @@ def _cmd_eval(args) -> int:
         value = eval_tnorm(spec, args.x, args.y)
     else:
         value = eval_companion(companion, args.x, args.y)
-    if getattr(args, "csv", False):
-        raise UsageError("eval has no CSV form")
     if args.json:
         _write(args, json.dumps({"command": "eval", "tnorm": args.tnorm,
                                  "x": args.x, "y": args.y, "value": value},
@@ -232,8 +198,6 @@ def _cmd_classify(args) -> int:
     spec = parse_tnorm_token(args.tnorm)
     grid = _grid_from_args(args)
     result = classify(spec, grid, assoc_full=args.assoc_full)
-    if getattr(args, "csv", False):
-        raise UsageError("classify has no CSV form")
     if args.json:
         _write(args, result.to_json())
     else:
@@ -266,8 +230,6 @@ _CATALOG_TABLE = [
 
 
 def _cmd_catalog(args) -> int:
-    if getattr(args, "csv", False):
-        raise UsageError("catalog has no CSV form")
     if args.json:
         _write(args, json.dumps({"families": _CATALOG_TABLE}, indent=2))
         return 0
@@ -327,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
                              " 0xC0FFEE)")
     grid_p.add_argument("--step-h", type=float, default=1e-6,
                         help="one-sided probe distance for limit scans")
-    grid_p.add_argument("--assoc-full", action="store_true",
-                        help="associativity over the full points^3 cube")
 
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("--json", action="store_true", help="JSON report")
-    out_p.add_argument("--csv", action="store_true",
-                       help="CSV residual dump (verify/counterexample)")
     out_p.add_argument("--out", metavar="PATH", help="write output to a file")
+
+    csv_p = argparse.ArgumentParser(add_help=False)
+    csv_p.add_argument("--csv", action="store_true",
+                       help="CSV dump of the residual at every grid triple")
 
     p_eval = sub.add_parser("eval", parents=[tnorm_p, comp_p, out_p],
                             help="evaluate T(x, y) or F(x, y) at one point")
@@ -342,19 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--y", type=float, required=True)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_verify = sub.add_parser("verify", parents=[tnorm_p, comp_p, grid_p, out_p],
+    p_verify = sub.add_parser("verify",
+                              parents=[tnorm_p, comp_p, grid_p, out_p, csv_p],
                               help="sweep the scaling equation residual")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_classify = sub.add_parser("classify", parents=[tnorm_p, grid_p, out_p],
                                 help="identify the family of a t-norm")
+    p_classify.add_argument("--assoc-full", action="store_true",
+                            help="associativity over the full points^3 cube")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_catalog = sub.add_parser("catalog", parents=[out_p],
                                help="print the six-family table")
     p_catalog.set_defaults(func=_cmd_catalog)
 
-    p_counter = sub.add_parser("counterexample", parents=[tnorm_p, grid_p, out_p],
+    p_counter = sub.add_parser("counterexample",
+                               parents=[tnorm_p, grid_p, out_p, csv_p],
                                help="hunt a triple violating the scaling"
                                     " equation")
     p_counter.set_defaults(func=_cmd_counterexample)
@@ -372,6 +338,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except dsl.ParseError as err:
         print(f"tnormlab: expression error {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a long operator chain parses iteratively but is evaluated and
+        # serialized recursively
+        print("tnormlab: expression nests too deeply to evaluate", file=sys.stderr)
         return 2
     except (dsl.EvalError, DomainError, PreconditionError, ValueError) as err:
         print(f"tnormlab: {err}", file=sys.stderr)

@@ -1,23 +1,28 @@
-"""T-norm catalog and exact evaluation.
+"""T-norm kinds and exact evaluation.
 
 The closed catalog consists of the six kinds of t-norm that admit a
 companion function F satisfying T(l*x, l*y) = F(l, T(x, y)) for all
-l, x, y in [0, 1], together with each kind's companion:
+l, x, y in [0, 1]:
 
-    Minimum          T = min(x, y)                            F = x*y
-    SchweizerSklar   T = (max(x^b + y^b - 1, 0))^(1/b), b>0   F = same with y -> x*y
-      (b > 0)          on (0,1]^2, 0 otherwise
-    Product          T = x*y                                  F = x^2*y
-    SchweizerSklar   T = (x^b + y^b - 1)^(1/b), b<0           F = same with y -> x*y
-      (b < 0)          on (0,1]^2, 0 otherwise
-    CShelf           T = 0 on (0,1)^2 outside [c,1)^2,        F = 0 where (x, x*y) is in
-                         min(x, y) otherwise                      that zero region, x*y otherwise
-    Drastic          T = min(x, y) if max(x, y) = 1, else 0   F = 0 for x<1, y at x=1
+    Minimum          T = min(x, y)
+    SchweizerSklar   T = (max(x^b + y^b - 1, 0))^(1/b), b > 0, on (0,1]^2, 0 otherwise
+    Product          T = x*y
+    SchweizerSklar   T = (x^b + y^b - 1)^(1/b), b < 0, on (0,1]^2, 0 otherwise
+    CShelf           T = 0 on (0,1)^2 outside [c,1)^2, min(x, y) otherwise
+    Drastic          T = min(x, y) if max(x, y) = 1, else 0
+
+A companion, when one exists, is unique: F(x, y) = T(x, x*y).  Canonical
+evaluates that formula for any t-norm; Catalog is the same companion,
+offered only for the catalog kinds.
 
 Lukasiewicz (max(x + y - 1, 0)) is the b = 1 member of the positive
 Schweizer-Sklar branch and is kept as its own kind because no fractional
 powers occur in it.  Ordinal sums and DSL expressions round out TNormSpec
 for use as verification and counterexample targets.
+
+Each kind is declared once, as a frozen dataclass holding its mini-syntax
+tokens, its label and its array kernel; tnorm_values, spec_label,
+CATALOG_KINDS and the CLI's token parser derive from those declarations.
 
 All evaluation is pure; values are binary64 and results of power-based
 formulas are clamped to [0, 1] with at most CLAMP_SLACK of drift allowed.
@@ -28,8 +33,8 @@ power is taken, so 0^b with b < 0 is never evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import Callable, Union
 
 import numpy as np
 
@@ -49,6 +54,7 @@ __all__ = [
     "OrdinalSum",
     "Expr",
     "TNormSpec",
+    "TNORM_KINDS",
     "Catalog",
     "Canonical",
     "CompanionF",
@@ -95,32 +101,69 @@ def as_unit(value: float, label: str = "value") -> float:
 
 
 # --------------------------------------------------------------------------
-# T-norm descriptions
+# T-norm kinds
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Minimum:
-    pass
+class _Kind:
+    """A t-norm kind: its mini-syntax tokens, its label and its array kernel.
+
+    A kind without fields is written as its token; a kind with one float
+    field as ``token:<value>``.  The compound kinds (ordinal sums and
+    expressions) override ``label`` and ``from_token``.  ``values`` gets
+    float arrays already broadcast to one shape.
+    """
+
+    #: names the mini-syntax accepts; labels use the first.
+    tokens: tuple[str, ...] = ()
+    #: whether the kind is in the closed catalog (and may nest in an osum).
+    catalog = True
+
+    def label(self) -> str:
+        params = [_format_param(getattr(self, f.name)) for f in fields(self)]
+        return ":".join([self.tokens[0], *params])
+
+    @classmethod
+    def from_token(cls, body: str, parse_inner: Callable[[str], "_Kind"]) -> "_Kind":
+        """The spec written ``token:body`` (``body`` is empty without fields)."""
+        return cls(float(body)) if fields(cls) else cls()
 
 
 @dataclass(frozen=True)
-class Product:
-    pass
+class Minimum(_Kind):
+    tokens = ("min", "minimum")
+
+    def values(self, x, y):
+        return np.minimum(x, y)
 
 
 @dataclass(frozen=True)
-class Lukasiewicz:
-    pass
+class Product(_Kind):
+    tokens = ("prod", "product")
+
+    def values(self, x, y):
+        return x * y
 
 
 @dataclass(frozen=True)
-class Drastic:
-    pass
+class Lukasiewicz(_Kind):
+    tokens = ("luk", "lukasiewicz")
+
+    def values(self, x, y):
+        return np.maximum(x + y - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class SchweizerSklar:
+class Drastic(_Kind):
+    tokens = ("drastic",)
+
+    def values(self, x, y):
+        return np.where((x == 1.0) | (y == 1.0), np.minimum(x, y), 0.0)
+
+
+@dataclass(frozen=True)
+class SchweizerSklar(_Kind):
     beta: float
+    tokens = ("ss",)
 
     def __post_init__(self):
         b = float(self.beta)
@@ -130,16 +173,51 @@ class SchweizerSklar:
                 " (use Product for the beta -> 0 limit)")
         object.__setattr__(self, "beta", b)
 
+    def values(self, x, y):
+        """Zero branch first, exact at the neutral element."""
+        beta = self.beta
+        out = np.zeros(x.shape)
+        inside = (x > 0.0) & (y > 0.0)
+        xi = x[inside]
+        yi = y[inside]
+        inv = 1.0 / beta
+        if beta > 0.0:
+            s = np.power(xi, beta) + np.power(yi, beta) - 1.0
+            ti = np.power(np.maximum(s, 0.0), inv)
+        else:
+            with np.errstate(over="ignore"):
+                s = np.power(xi, beta) + np.power(yi, beta) - 1.0
+                ti = np.power(s, inv)
+            overflow = ~np.isfinite(s)
+            if np.any(overflow):
+                # x^b overflowed; rescale by the smaller argument, whose power
+                # factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
+                m = np.minimum(xi[overflow], yi[overflow])
+                big = np.maximum(xi[overflow], yi[overflow])
+                bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
+                ti[overflow] = m * np.power(bracket, inv)
+        out[inside] = ti
+        out = np.where(y == 1.0, x, out)
+        out = np.where(x == 1.0, y, out)
+        return _clamp_unit(out, f"SchweizerSklar(beta={beta})")
+
 
 @dataclass(frozen=True)
-class CShelf:
+class CShelf(_Kind):
     c: float
+    tokens = ("cshelf",)
 
     def __post_init__(self):
         c = float(self.c)
         if not (0.0 < c < 1.0):
             raise ValueError(f"shelf edge c must lie strictly inside (0, 1); got {self.c!r}")
         object.__setattr__(self, "c", c)
+
+    def values(self, x, y):
+        c = self.c
+        zero = ((x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0)
+                & ~((x >= c) & (y >= c)))
+        return np.where(zero, 0.0, np.minimum(x, y))
 
 
 @dataclass(frozen=True)
@@ -158,8 +236,10 @@ class Summand:
 
 
 @dataclass(frozen=True)
-class OrdinalSum:
+class OrdinalSum(_Kind):
     summands: tuple[Summand, ...]
+    tokens = ("osum",)
+    catalog = False
 
     def __init__(self, summands):
         items = []
@@ -175,9 +255,42 @@ class OrdinalSum:
                     f" [{b.lower}, {b.upper}]")
         object.__setattr__(self, "summands", tuple(items))
 
+    def label(self) -> str:
+        parts = ";".join(
+            f"{_format_param(s.lower)},{_format_param(s.upper)},{s.inner.label()}"
+            for s in self.summands)
+        return f"osum:[{parts}]"
+
+    @classmethod
+    def from_token(cls, body, parse_inner):
+        """``[a,e,T;...]``, each inner T parsed by ``parse_inner``."""
+        body = body.strip()
+        if not (body.startswith("[") and body.endswith("]")):
+            raise ValueError("needs the form osum:[a,e,T;...]")
+        summands = []
+        for part in body[1:-1].split(";"):
+            items = part.split(",")
+            if len(items) != 3:
+                raise ValueError(f"summand needs a,e,T; got {part!r}")
+            summands.append((float(items[0]), float(items[1]),
+                             parse_inner(items[2])))
+        return cls(summands)
+
+    def values(self, x, y):
+        out = np.minimum(x, y)
+        for s in self.summands:
+            span = s.upper - s.lower
+            mask = ((x >= s.lower) & (x <= s.upper)
+                    & (y >= s.lower) & (y <= s.upper))
+            if np.any(mask):
+                xi = (x[mask] - s.lower) / span
+                yi = (y[mask] - s.lower) / span
+                out[mask] = s.lower + span * tnorm_values(s.inner, xi, yi)
+        return out
+
 
 @dataclass(frozen=True)
-class Expr:
+class Expr(_Kind):
     """A binary function given as a DSL expression in x and y.
 
     Doubles as a t-norm description and as a companion description; every
@@ -185,18 +298,36 @@ class Expr:
     """
 
     ast: Expression
+    tokens = ("expr",)
+    catalog = False
 
     def __post_init__(self):
         if isinstance(self.ast, str):
             object.__setattr__(self, "ast", dsl.parse(self.ast))
 
+    def label(self) -> str:
+        return f"expr:{dsl.serialize(self.ast)}"
 
-TNormSpec = Union[Minimum, Product, Lukasiewicz, Drastic, SchweizerSklar,
-                  CShelf, OrdinalSum, Expr]
+    @classmethod
+    def from_token(cls, body, parse_inner):
+        return cls(body)
+
+    def values(self, x, y):
+        return _expr_values(self.ast, x, y, "t-norm expression")
+
+    def companion(self, x, y):
+        return _expr_values(self.ast, x, y, "companion expression")
+
+
+#: every t-norm kind, in the order the catalog table lists them.
+TNORM_KINDS = (Minimum, Product, Lukasiewicz, Drastic, SchweizerSklar, CShelf,
+               OrdinalSum, Expr)
+
+TNormSpec = Union[TNORM_KINDS]
 
 #: kinds covered by the closed catalog (everything except ordinal sums and
 #: expressions, which have no catalog companion).
-CATALOG_KINDS = (Minimum, Product, Lukasiewicz, Drastic, SchweizerSklar, CShelf)
+CATALOG_KINDS = tuple(kind for kind in TNORM_KINDS if kind.catalog)
 
 
 # --------------------------------------------------------------------------
@@ -204,10 +335,22 @@ CATALOG_KINDS = (Minimum, Product, Lukasiewicz, Drastic, SchweizerSklar, CShelf)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Catalog:
-    """The companion paired with a catalog kind in the table above."""
+class Canonical:
+    """The companion derived from any t-norm via F(x, y) = T(x, x*y)."""
 
     of: TNormSpec
+
+    def label(self) -> str:
+        return f"canonical({self.of.label()})"
+
+    def companion(self, x, y):
+        return self.of.values(x, x * y)
+
+
+@dataclass(frozen=True)
+class Catalog(Canonical):
+    """The canonical companion of a catalog kind, the only companion that
+    kind admits; other kinds are rejected."""
 
     def __post_init__(self):
         if not isinstance(self.of, CATALOG_KINDS):
@@ -215,12 +358,8 @@ class Catalog:
                 f"no catalog companion for {type(self.of).__name__}; only the six"
                 " closed-form kinds have one")
 
-
-@dataclass(frozen=True)
-class Canonical:
-    """The companion derived from any t-norm via F(x, y) = T(x, x*y)."""
-
-    of: TNormSpec
+    def label(self) -> str:
+        return f"catalog({self.of.label()})"
 
 
 CompanionF = Union[Catalog, Canonical, Expr]
@@ -251,52 +390,14 @@ def _clamp_unit(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-def _ss_values(beta: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Schweizer-Sklar family on (0,1]^2, zero branch first, exact at the
-    neutral element."""
-    xb, yb = _broadcast(x, y)
-    out = np.zeros(xb.shape)
-    inside = (xb > 0.0) & (yb > 0.0)
-    xi = xb[inside]
-    yi = yb[inside]
-    inv = 1.0 / beta
-    if beta > 0.0:
-        s = np.power(xi, beta) + np.power(yi, beta) - 1.0
-        ti = np.power(np.maximum(s, 0.0), inv)
-    else:
-        with np.errstate(over="ignore"):
-            s = np.power(xi, beta) + np.power(yi, beta) - 1.0
-            ti = np.power(s, inv)
-        overflow = ~np.isfinite(s)
-        if np.any(overflow):
-            # x^b overflowed; rescale by the smaller argument, whose power
-            # factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
-            m = np.minimum(xi[overflow], yi[overflow])
-            big = np.maximum(xi[overflow], yi[overflow])
-            bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
-            ti[overflow] = m * np.power(bracket, inv)
-    out[inside] = ti
-    out = np.where(yb == 1.0, xb, out)
-    out = np.where(xb == 1.0, yb, out)
-    return _clamp_unit(out, f"SchweizerSklar(beta={beta})")
-
-
-def _cshelf_values(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xb, yb = _broadcast(x, y)
-    zero = ((xb > 0.0) & (xb < 1.0) & (yb > 0.0) & (yb < 1.0)
-            & ~((xb >= c) & (yb >= c)))
-    return np.where(zero, 0.0, np.minimum(xb, yb))
-
-
 def _expr_values(ast: Expression, x: np.ndarray, y: np.ndarray,
                  context: str) -> np.ndarray:
-    xb, yb = _broadcast(x, y)
-    values = np.asarray(eval_expr(ast, xb, yb), dtype=np.float64)
+    values = np.asarray(eval_expr(ast, x, y), dtype=np.float64)
     bad = np.isnan(values) | (values < -CLAMP_SLACK) | (values > 1.0 + CLAMP_SLACK)
     if np.any(bad):
         idx = int(np.argmax(np.ravel(bad)))
-        px = float(np.ravel(xb)[idx])
-        py = float(np.ravel(yb)[idx])
+        px = float(np.ravel(x)[idx])
+        py = float(np.ravel(y)[idx])
         pv = float(np.ravel(values)[idx])
         raise DomainError(f"{context} evaluates outside [0, 1] at "
                           f"(x, y) = ({px}, {py}): {pv}")
@@ -306,63 +407,13 @@ def _expr_values(ast: Expression, x: np.ndarray, y: np.ndarray,
 def tnorm_values(spec: TNormSpec, x, y) -> np.ndarray:
     """Vectorized t-norm evaluation on broadcastable float arrays."""
     xb, yb = _broadcast(x, y)
-    if isinstance(spec, Minimum):
-        return np.minimum(xb, yb)
-    if isinstance(spec, Product):
-        return xb * yb
-    if isinstance(spec, Lukasiewicz):
-        return np.maximum(xb + yb - 1.0, 0.0)
-    if isinstance(spec, Drastic):
-        return np.where((xb == 1.0) | (yb == 1.0), np.minimum(xb, yb), 0.0)
-    if isinstance(spec, SchweizerSklar):
-        return _ss_values(spec.beta, xb, yb)
-    if isinstance(spec, CShelf):
-        return _cshelf_values(spec.c, xb, yb)
-    if isinstance(spec, OrdinalSum):
-        out = np.minimum(xb, yb)
-        for s in spec.summands:
-            span = s.upper - s.lower
-            mask = ((xb >= s.lower) & (xb <= s.upper)
-                    & (yb >= s.lower) & (yb <= s.upper))
-            if np.any(mask):
-                xi = (xb[mask] - s.lower) / span
-                yi = (yb[mask] - s.lower) / span
-                out[mask] = s.lower + span * tnorm_values(s.inner, xi, yi)
-        return out
-    if isinstance(spec, Expr):
-        return _expr_values(spec.ast, xb, yb, "t-norm expression")
-    raise TypeError(f"not a t-norm description: {spec!r}")
+    return spec.values(xb, yb)
 
 
 def companion_values(f: CompanionF, x, y) -> np.ndarray:
     """Vectorized companion evaluation on broadcastable float arrays."""
     xb, yb = _broadcast(x, y)
-    if isinstance(f, Expr):
-        return _expr_values(f.ast, xb, yb, "companion expression")
-    if isinstance(f, Canonical):
-        return tnorm_values(f.of, xb, xb * yb)
-    if isinstance(f, Catalog):
-        spec = f.of
-        w = xb * yb
-        if isinstance(spec, Minimum):
-            return w
-        if isinstance(spec, Product):
-            # x^2*y evaluated as x*(x*y): keeps the catalog companion
-            # bit-equal to the canonical derivation T(x, x*y).
-            return xb * w
-        if isinstance(spec, Lukasiewicz):
-            return np.maximum(xb + w - 1.0, 0.0)
-        if isinstance(spec, SchweizerSklar):
-            return _ss_values(spec.beta, xb, w)
-        if isinstance(spec, CShelf):
-            c = spec.c
-            zero = ((xb > 0.0) & (xb < 1.0) & (w > 0.0) & (w < 1.0)
-                    & ~((xb >= c) & (w >= c)))
-            return np.where(zero, 0.0, w)
-        if isinstance(spec, Drastic):
-            return np.where(xb == 1.0, yb, 0.0)
-        raise TypeError(f"no catalog companion for {spec!r}")
-    raise TypeError(f"not a companion description: {f!r}")
+    return f.companion(xb, yb)
 
 
 # --------------------------------------------------------------------------
@@ -462,33 +513,8 @@ def _format_param(v: float) -> str:
 
 
 def spec_label(spec: TNormSpec) -> str:
-    if isinstance(spec, Minimum):
-        return "min"
-    if isinstance(spec, Product):
-        return "prod"
-    if isinstance(spec, Lukasiewicz):
-        return "luk"
-    if isinstance(spec, Drastic):
-        return "drastic"
-    if isinstance(spec, SchweizerSklar):
-        return f"ss:{_format_param(spec.beta)}"
-    if isinstance(spec, CShelf):
-        return f"cshelf:{_format_param(spec.c)}"
-    if isinstance(spec, OrdinalSum):
-        parts = ";".join(
-            f"{_format_param(s.lower)},{_format_param(s.upper)},{spec_label(s.inner)}"
-            for s in spec.summands)
-        return f"osum:[{parts}]"
-    if isinstance(spec, Expr):
-        return f"expr:{dsl.serialize(spec.ast)}"
-    raise TypeError(f"not a t-norm description: {spec!r}")
+    return spec.label()
 
 
 def companion_label(f: CompanionF) -> str:
-    if isinstance(f, Catalog):
-        return f"catalog({spec_label(f.of)})"
-    if isinstance(f, Canonical):
-        return f"canonical({spec_label(f.of)})"
-    if isinstance(f, Expr):
-        return f"expr:{dsl.serialize(f.ast)}"
-    raise TypeError(f"not a companion description: {f!r}")
+    return f.label()

@@ -243,9 +243,14 @@ class _Parser:
 
 
 def parse(source: str) -> Expression:
-    """Parse ``source`` into an AST; raises :class:`ParseError` on any violation."""
+    """Parse ``source`` into an AST; raises :class:`ParseError` on any violation,
+    nesting deeper than the interpreter's recursion limit included."""
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expression(0)
+    try:
+        node = parser.parse_expression(0)
+    except RecursionError:
+        raise ParseError(parser.peek().position, "less deeply nested input",
+                         "nesting beyond the recursion limit") from None
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(tail.position, "end of input", tail.describe())

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tnormlab.analysis import GridSpec
@@ -37,6 +38,38 @@ ORDINAL_SUMS = [
     OrdinalSum([(0.5, 1.0, Product())]),
     OrdinalSum([(0.2, 0.6, Lukasiewicz()), (0.6, 1.0, Product())]),
 ]
+
+
+def paper_companion(spec, x, y):
+    """The companion F(x, y) of a catalog kind, written from the closed-form
+    F column of the paper's table rather than from T(x, x*y): an oracle
+    independent of the package's companion evaluation."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    w = x * y
+    if isinstance(spec, Minimum):
+        return w
+    if isinstance(spec, Product):
+        return x ** 2 * y
+    if isinstance(spec, Lukasiewicz):
+        return np.maximum(x + w - 1.0, 0.0)
+    if isinstance(spec, Drastic):
+        return np.where(x == 1.0, y, 0.0)
+    if isinstance(spec, CShelf):
+        c = spec.c
+        zero = ((x > 0) & (x < 1) & (w > 0) & (w < 1)
+                & ~((x >= c) & (w >= c)))
+        return np.where(zero, 0.0, w)
+    if isinstance(spec, SchweizerSklar):
+        # the T formula with y -> x*y, on (0,1]^2 only
+        b = spec.beta
+        inside = (x > 0) & (w > 0)
+        xs = np.where(inside, x, 1.0)
+        ws = np.where(inside, w, 1.0)
+        s = xs ** b + ws ** b - 1.0
+        if b > 0:
+            s = np.maximum(s, 0.0)
+        return np.where(inside, s ** (1.0 / b), 0.0)
+    raise TypeError(f"no closed-form companion for {spec!r}")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,23 @@
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tnormlab.analysis import GridSpec, check_gph
 from tnormlab.cli import main, parse_tnorm_token
-from tnormlab.core import CShelf, Lukasiewicz, OrdinalSum, SchweizerSklar
+from tnormlab.core import (
+    CShelf,
+    Drastic,
+    Lukasiewicz,
+    Minimum,
+    OrdinalSum,
+    Product,
+    SchweizerSklar,
+    spec_label,
+)
 
 
 def run(capsys, *argv):
@@ -32,6 +46,36 @@ def test_token_rejects_unknown():
     from tnormlab.cli import UsageError
     with pytest.raises(UsageError):
         parse_tnorm_token("frobnicate")
+
+
+def _digits12(v: float) -> float:
+    return float(format(v, ".12g"))
+
+
+_BETAS = st.floats(min_value=-60.0, max_value=60.0).map(_digits12).filter(
+    lambda b: abs(b) >= 1e-3)
+_EDGES = st.floats(min_value=0.0, max_value=1.0).map(_digits12).filter(
+    lambda c: 0.0 < c < 1.0)
+_CATALOG_SPECS = st.one_of(
+    st.sampled_from([Minimum(), Product(), Lukasiewicz(), Drastic()]),
+    _BETAS.map(SchweizerSklar),
+    _EDGES.map(CShelf),
+)
+
+
+@st.composite
+def _ordinal_sums(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0).map(_digits12),
+                                min_size=2 * n, max_size=2 * n, unique=True)))
+    return OrdinalSum([(cuts[2 * i], cuts[2 * i + 1], draw(_CATALOG_SPECS))
+                       for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.one_of(_CATALOG_SPECS, _ordinal_sums()))
+def test_label_parses_back_to_its_spec(spec):
+    assert parse_tnorm_token(spec_label(spec)) == spec
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +206,48 @@ def test_conflicting_companions_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--tnorm", "min", "--f", "catalog",
                        "--f-expr", "x*y")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["(" * 3000 + "x" + ")" * 3000,
+                                    "-" * 3000 + "x",
+                                    "x*y" + "+0*x" * 3000],
+                         ids=["parentheses", "unary-minus", "operator-chain"])
+def test_deep_expression_exits_2(capsys, source):
+    code, out, err = run(capsys, "verify", "--tnorm", "expr:" + source,
+                         "--points", "5", "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "expression" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tnorm", "min", "--assoc-full"],
+    ["counterexample", "--tnorm", "min", "--assoc-full"],
+    ["classify", "--tnorm", "min", "--csv"],
+    ["eval", "--tnorm", "min", "--x", "0.5", "--y", "0.5", "--csv"],
+    ["catalog", "--csv"],
+])
+def test_option_only_on_subcommands_that_read_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tnorm", ["ss:2", "osum:[0,0.5,luk]"])
+def test_closed_stdout_keeps_verdict_exit_code(tnorm):
+    points = 41
+    verdict = check_gph(parse_tnorm_token(tnorm), None, GridSpec(points=points))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tnormlab", "verify", "--tnorm", tnorm, "--csv",
+         "--points", str(points)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().decode() == "lambda,x,y,lhs,rhs,residual\n"
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == (0 if verdict.passed else 1)
+    assert "Traceback" not in err
 
 
 def test_classify_precondition_exits_2(capsys):

@@ -132,7 +132,9 @@ def test_parse_error_position_at_end():
 
 
 @pytest.mark.parametrize("source", ["", "x +", "min(x)", "1..2", "x y", "foo",
-                                    "(x", "x)", "x ** y", "2 2"])
+                                    "(x", "x)", "x ** y", "2 2",
+                                    pytest.param("(" * 3000 + "x" + ")" * 3000,
+                                                 id="deep-nesting")])
 def test_parse_rejections(source):
     with pytest.raises(ParseError) as err:
         dsl.parse(source)
