@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -201,8 +202,7 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
     """
     g = grid.axis()
     tol = grid.strict_tol
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    T_xy = tnorm_values(spec, X, Y)
+    T_xy = tnorm_values(spec, g[:, None], g[None, :])
 
     residuals: dict[str, float] = {}
     witness = None
@@ -216,7 +216,7 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
             failed_axiom = axiom
 
     # T4: T(x, 1) = x
-    col = tnorm_values(spec, g, np.ones_like(g))
+    col = tnorm_values(spec, g, 1.0)
     r4 = np.abs(col - g)
     w = None
     if np.any(r4 > tol):
@@ -300,15 +300,15 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # --------------------------------------------------------------------------
 
 def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
-    """Yield (lam, X, Y, lhs, rhs, residual) for each grid lambda in scan
-    order: both sides of the scaling equation over the (x, y) grid."""
+    """Yield (lam, lhs, rhs, residual) for each grid lambda in scan order:
+    both sides of the scaling equation over the (x, y) grid, x on axis 0."""
     g = grid.axis()
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    T_xy = tnorm_values(spec, X, Y)
+    x, y = g[:, None], g[None, :]
+    T_xy = tnorm_values(spec, x, y)
     for lam in g:
-        lhs = tnorm_values(spec, lam * X, lam * Y)
+        lhs = tnorm_values(spec, lam * x, lam * y)
         rhs = companion_values(comp, lam, T_xy)
-        yield lam, X, Y, lhs, rhs, np.abs(lhs - rhs)
+        yield lam, lhs, rhs, np.abs(lhs - rhs)
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -321,14 +321,15 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     random triples; the witness is the first maximal-gap triple.
     """
     comp = canonical_f(spec) if f is None else f
+    g = grid.axis()
     best_gap = -1.0
     best = None
-    for lam, X, Y, lhs, rhs, res in _gph_slices(spec, comp, grid):
+    for lam, lhs, rhs, res in _gph_slices(spec, comp, grid):
         m = float(res.max())
         if m > best_gap:
             idx = int(np.argmax(np.ravel(res)))
             i, j = np.unravel_index(idx, res.shape)
-            best = _witness_from(lam, X[i, j], Y[i, j], lhs[i, j], rhs[i, j])
+            best = _witness_from(lam, g[i], g[j], lhs[i, j], rhs[i, j])
             best_gap = m
 
     if grid.samples > 0:
@@ -362,7 +363,7 @@ def check_unit_scale(f: CompanionF, grid: GridSpec = GridSpec()) -> Report:
     The boundary axiom forces it, so any companion violating this line
     cannot satisfy the full equation."""
     g = grid.axis()
-    vals = companion_values(f, np.ones_like(g), g)
+    vals = companion_values(f, 1.0, g)
     res = np.abs(vals - g)
     m = float(res.max())
     passed = m <= grid.eq_tol
@@ -392,8 +393,7 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
     witness is the largest grid x whose F(x, 1) vanishes.
     """
     g = grid.axis()
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    F = companion_values(f, X, Y)
+    F = companion_values(f, g[:, None], g[None, :])
     tol = grid.eq_tol
 
     # (a) nondecreasing in each argument
@@ -402,7 +402,7 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
     inc_ok = inc_violation <= tol
 
     # (b) F(x, 1) = 0 iff x = 0
-    col = companion_values(f, g, np.ones_like(g))
+    col = companion_values(f, g, 1.0)
     zero_ok = float(col[0]) <= tol
     vanishing = (g > 0.0) & (col <= tol)
     boundary_ok = zero_ok and not bool(np.any(vanishing))
@@ -600,7 +600,7 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
     X, Y = np.meshgrid(g, g, indexing="ij")
     T = tnorm_values(spec, X, Y)
     F = companion_values(canonical_f(spec), X, Y)
-    col = companion_values(canonical_f(spec), g, np.ones_like(g))
+    col = companion_values(canonical_f(spec), g, 1.0)
     tol = grid.strict_tol
 
     # statement -> (lhs table, rhs table, x coords, y coords)
@@ -669,9 +669,8 @@ def check_continuity_equivalence(spec: TNormSpec,
     """A t-norm and its companion are continuous together or not at all;
     this verifies the grid-scale surrogate of that equivalence."""
     g = grid.axis()
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    T = tnorm_values(spec, X, Y)
-    F = companion_values(canonical_f(spec), X, Y)
+    T = tnorm_values(spec, g[:, None], g[None, :])
+    F = companion_values(canonical_f(spec), g[:, None], g[None, :])
     threshold = CONTINUITY_JUMP_FACTOR * grid.spacing
     t_jump, t_witness = _max_adjacent_jump(T, g)
     f_jump, f_witness = _max_adjacent_jump(F, g)
@@ -780,12 +779,9 @@ def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
     """Yield (lambda, x, y, lhs, rhs, residual) for every grid triple, in
     scan order.  Streams one lambda slice at a time."""
     comp = canonical_f(spec) if f is None else f
-    for lam, X, Y, lhs, rhs, res in _gph_slices(spec, comp, grid):
-        flat_x = np.ravel(X)
-        flat_y = np.ravel(Y)
-        flat_l = np.ravel(lhs)
-        flat_r = np.ravel(rhs)
-        flat_g = np.ravel(res)
-        for i in range(flat_x.size):
-            yield (float(lam), float(flat_x[i]), float(flat_y[i]),
-                   float(flat_l[i]), float(flat_r[i]), float(flat_g[i]))
+    g = grid.axis()
+    flat_x = np.repeat(g, g.size).tolist()
+    flat_y = np.tile(g, g.size).tolist()
+    for lam, lhs, rhs, res in _gph_slices(spec, comp, grid):
+        yield from zip(repeat(float(lam)), flat_x, flat_y, np.ravel(lhs).tolist(),
+                       np.ravel(rhs).tolist(), np.ravel(res).tolist())

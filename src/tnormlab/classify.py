@@ -39,7 +39,7 @@ from .core import (
     Product,
     SchweizerSklar,
     TNormSpec,
-    diagonal,
+    _bisect_diagonal,
     diagonal_values,
     spec_label,
     tnorm_values,
@@ -199,9 +199,9 @@ def _draw_fit_samples(spec: TNormSpec, grid: GridSpec) -> np.ndarray:
 def _validation_residual(spec: TNormSpec, candidate: TNormSpec,
                          grid: GridSpec) -> float:
     axis = grid.validation_axis()
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    return float(np.abs(tnorm_values(spec, X, Y)
-                        - tnorm_values(candidate, X, Y)).max())
+    x, y = axis[:, None], axis[None, :]
+    return float(np.abs(tnorm_values(spec, x, y)
+                        - tnorm_values(candidate, x, y)).max())
 
 
 def fit_beta(spec: TNormSpec, grid: GridSpec = GridSpec()) -> tuple[float, float]:
@@ -220,18 +220,6 @@ def fit_beta(spec: TNormSpec, grid: GridSpec = GridSpec()) -> tuple[float, float
 def _validation_test(family: str) -> str:
     """Evidence name of a family's validation: validate_<snake_case name>."""
     return "validate_" + re.sub(r"(?<=[a-z])(?=[A-Z])", "_", family).lower()
-
-
-def _refine_shelf_edge(spec: TNormSpec, lo: float, hi: float,
-                       eq_tol: float, step_h: float) -> float:
-    """Bisect the diagonal's jump point: zero at lo, identity at hi."""
-    while hi - lo > step_h:
-        mid = 0.5 * (lo + hi)
-        if diagonal(spec, mid) <= eq_tol:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
@@ -287,7 +275,8 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
 
     shelf_edge = None
     if shelf is not None:
-        shelf_edge = _refine_shelf_edge(spec, *shelf, grid.eq_tol, grid.step_h)
+        # the diagonal's jump point: zero at the plateau end, identity after
+        shelf_edge = _bisect_diagonal(spec, grid.eq_tol, *shelf, grid.step_h)
     evidence.append({"test": "shelf_pattern", "passed": shelf_edge is not None,
                      "detail": {"shelf_edge": shelf_edge}})
     if shelf_edge is not None:
@@ -296,8 +285,8 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
             return result
 
     # (3) pointwise product
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    prod_dev = float(np.abs(tnorm_values(spec, X, Y) - X * Y).max())
+    x, y = g[:, None], g[None, :]
+    prod_dev = float(np.abs(tnorm_values(spec, x, y) - x * y).max())
     product_match = prod_dev <= grid.eq_tol
     evidence.append({"test": "product_match", "passed": product_match,
                      "detail": {"max_deviation": prod_dev}})

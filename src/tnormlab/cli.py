@@ -85,27 +85,16 @@ def parse_tnorm_token(token: str, allow_compound: bool = True) -> TNormSpec:
 
 
 def _companion_from_args(args, spec: TNormSpec) -> Optional[CompanionF]:
-    picked = []
-    if args.f:
-        picked.append(args.f)
     if args.f_expr:
-        picked.append("expr")
-    if args.f_catalog:
-        picked.append("catalog")
-    if len(picked) > 1:
-        raise UsageError("choose one companion source: --f, --f-expr or"
-                         " --f-catalog")
-    if not picked:
-        return None
-    choice = picked[0]
-    if choice == "expr":
         return Expr(dsl.parse(args.f_expr))
-    if choice == "catalog":
+    if args.f == "catalog":
         try:
             return Catalog(spec)
         except ValueError as err:
             raise UsageError(str(err)) from err
-    return Canonical(spec)
+    if args.f == "canonical":
+        return Canonical(spec)
+    return None
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -266,13 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="t-norm mini-syntax token (see epilog)")
 
     comp_p = argparse.ArgumentParser(add_help=False)
-    comp_p.add_argument("--f", choices=["catalog", "canonical"],
+    comp_g = comp_p.add_mutually_exclusive_group()
+    comp_g.add_argument("--f", choices=["catalog", "canonical"],
                         help="companion source; default for verify is the"
                              " canonical F(x,y) = T(x, x*y)")
-    comp_p.add_argument("--f-expr", metavar="DSL",
+    comp_g.add_argument("--f-expr", metavar="DSL",
                         help="companion as a DSL expression in x and y")
-    comp_p.add_argument("--f-catalog", action="store_true",
-                        help="alias for --f catalog")
+    comp_g.add_argument("--f-catalog", dest="f", action="store_const",
+                        const="catalog", help="alias for --f catalog")
 
     grid_p = argparse.ArgumentParser(add_help=False)
     grid_p.add_argument("--points", type=int, default=101,

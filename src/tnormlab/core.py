@@ -26,8 +26,9 @@ CATALOG_KINDS and the CLI's token parser derive from those declarations.
 
 All evaluation is pure; values are binary64 and results of power-based
 formulas are clamped to [0, 1] with at most CLAMP_SLACK of drift allowed.
-The zero branch of the Schweizer-Sklar formulas is decided before any
-power is taken, so 0^b with b < 0 is never evaluated.
+Kernels take any broadcastable arrays.  The Schweizer-Sklar formulas are
+evaluated over the whole arrays and IEEE arithmetic yields their zero
+branch: 0^b = +inf and inf^(1/b) = 0 for b < 0, max(s, 0) = 0 for b > 0.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class _Kind:
     A kind without fields is written as its token; a kind with one float
     field as ``token:<value>``.  The compound kinds (ordinal sums and
     expressions) override ``label`` and ``from_token``.  ``values`` gets
-    float arrays already broadcast to one shape.
+    float arrays of any broadcastable shapes, 0-d included.
     """
 
     #: names the mini-syntax accepts; labels use the first.
@@ -174,29 +175,25 @@ class SchweizerSklar(_Kind):
         object.__setattr__(self, "beta", b)
 
     def values(self, x, y):
-        """Zero branch first, exact at the neutral element."""
+        """The formula over the whole arrays, exact at the neutral element."""
         beta = self.beta
-        out = np.zeros(x.shape)
-        inside = (x > 0.0) & (y > 0.0)
-        xi = x[inside]
-        yi = y[inside]
         inv = 1.0 / beta
+        with np.errstate(divide="ignore", over="ignore"):
+            s = np.power(x, beta) + np.power(y, beta) - 1.0
         if beta > 0.0:
-            s = np.power(xi, beta) + np.power(yi, beta) - 1.0
-            ti = np.power(np.maximum(s, 0.0), inv)
+            out = np.power(np.maximum(s, 0.0), inv)
         else:
-            with np.errstate(over="ignore"):
-                s = np.power(xi, beta) + np.power(yi, beta) - 1.0
-                ti = np.power(s, inv)
-            overflow = ~np.isfinite(s)
+            out = np.asarray(np.power(s, inv))
+            # s = +inf where an argument is 0 (T = 0 already) or where x^b
+            # overflowed; rescale the latter by the smaller argument, whose
+            # power factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
+            m = np.minimum(x, y)
+            overflow = np.isinf(s) & (m > 0.0)
             if np.any(overflow):
-                # x^b overflowed; rescale by the smaller argument, whose power
-                # factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
-                m = np.minimum(xi[overflow], yi[overflow])
-                big = np.maximum(xi[overflow], yi[overflow])
+                m = m[overflow]
+                big = np.maximum(x, y)[overflow]
                 bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
-                ti[overflow] = m * np.power(bracket, inv)
-        out[inside] = ti
+                out[overflow] = m * np.power(bracket, inv)
         out = np.where(y == 1.0, x, out)
         out = np.where(x == 1.0, y, out)
         return _clamp_unit(out, f"SchweizerSklar(beta={beta})")
@@ -277,7 +274,8 @@ class OrdinalSum(_Kind):
         return cls(summands)
 
     def values(self, x, y):
-        out = np.minimum(x, y)
+        x, y = np.broadcast_arrays(x, y)
+        out = np.asarray(np.minimum(x, y))
         for s in self.summands:
             span = s.upper - s.lower
             mask = ((x >= s.lower) & (x <= s.upper)
@@ -369,13 +367,6 @@ CompanionF = Union[Catalog, Canonical, Expr]
 # Array evaluation
 # --------------------------------------------------------------------------
 
-def _broadcast(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    shape = np.broadcast(xa, ya).shape
-    return np.broadcast_to(xa, shape), np.broadcast_to(ya, shape)
-
-
 def _clamp_unit(values: np.ndarray, context: str) -> np.ndarray:
     """Clamp last-ulp drift into [0, 1]; drift beyond CLAMP_SLACK is an error."""
     if values.size == 0:
@@ -396,6 +387,7 @@ def _expr_values(ast: Expression, x: np.ndarray, y: np.ndarray,
     bad = np.isnan(values) | (values < -CLAMP_SLACK) | (values > 1.0 + CLAMP_SLACK)
     if np.any(bad):
         idx = int(np.argmax(np.ravel(bad)))
+        x, y = np.broadcast_arrays(x, y)
         px = float(np.ravel(x)[idx])
         py = float(np.ravel(y)[idx])
         pv = float(np.ravel(values)[idx])
@@ -406,14 +398,12 @@ def _expr_values(ast: Expression, x: np.ndarray, y: np.ndarray,
 
 def tnorm_values(spec: TNormSpec, x, y) -> np.ndarray:
     """Vectorized t-norm evaluation on broadcastable float arrays."""
-    xb, yb = _broadcast(x, y)
-    return spec.values(xb, yb)
+    return spec.values(np.asarray(x, np.float64), np.asarray(y, np.float64))
 
 
 def companion_values(f: CompanionF, x, y) -> np.ndarray:
     """Vectorized companion evaluation on broadcastable float arrays."""
-    xb, yb = _broadcast(x, y)
-    return f.companion(xb, yb)
+    return f.companion(np.asarray(x, np.float64), np.asarray(y, np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -494,10 +484,17 @@ def diagonal_pseudo_inverse(spec: TNormSpec, y: float, tol: float) -> float:
             " is defined only for monotone diagonals")
     if float(ds[-1]) <= yv:
         return 1.0
-    lo, hi = 0.0, 1.0  # invariant: d(lo) <= y < d(hi)
+    return _bisect_diagonal(spec, yv, 0.0, 1.0, tol)
+
+
+def _bisect_diagonal(spec: TNormSpec, level: float, lo: float, hi: float,
+                     tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] on which T(z, z) <= level turns
+    false, narrowed by bisection to width at most tol.  Expects the
+    predicate true at lo and false at hi."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if diagonal(spec, mid) <= yv:
+        if diagonal(spec, mid) <= level:
             lo = mid
         else:
             hi = mid

@@ -281,13 +281,11 @@ def serialize(node: Expression) -> str:
 # --------------------------------------------------------------------------
 
 def _first_bad_point(mask, x, y) -> tuple[float, float]:
-    """Coordinates of the first True entry of ``mask`` (row-major)."""
-    if np.ndim(mask) == 0:
-        xs = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return float(np.ravel(xs[0])[0]), float(np.ravel(xs[1])[0])
-    idx = np.argmax(np.ravel(mask))
-    xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
-                                 np.asarray(mask))[:2]
+    """Coordinates of the first True entry of ``mask`` (row-major), with
+    ``mask``, ``x`` and ``y`` broadcast together first."""
+    xb, yb, mb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
+                                     np.asarray(mask))
+    idx = np.argmax(np.ravel(mb))
     return float(np.ravel(xb)[idx]), float(np.ravel(yb)[idx])
 
 

@@ -203,9 +203,12 @@ def test_degenerate_beta_exits_2(capsys):
 
 
 def test_conflicting_companions_exit_2(capsys):
-    code, _, err = run(capsys, "verify", "--tnorm", "min", "--f", "catalog",
-                       "--f-expr", "x*y")
-    assert code == 2
+    for flags in (["--f", "catalog", "--f-expr", "x*y"],
+                  ["--f-catalog", "--f-expr", "x*y"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tnorm", "min", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("source", ["(" * 3000 + "x" + ")" * 3000,

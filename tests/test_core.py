@@ -19,6 +19,7 @@ from tnormlab.core import (
     Product,
     SchweizerSklar,
     StructuralError,
+    companion_values,
     diagonal,
     diagonal_pseudo_inverse,
     eval_companion,
@@ -27,7 +28,7 @@ from tnormlab.core import (
     tnorm_values,
 )
 
-from conftest import FAMILY_MATRIX, MATRIX_IDS, paper_companion
+from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS, paper_companion
 
 units = st.floats(min_value=0.0, max_value=1.0)
 GRID = np.linspace(0.0, 1.0, 101)
@@ -154,6 +155,41 @@ def test_canonical_is_bitwise_t_of_x_xy(name, spec, _):
     for x in GRID[::9]:
         for y in GRID[::9]:
             assert eval_companion(f, x, y) == eval_tnorm(spec, x, x * y)
+
+
+#: every kind with the axis it is probed on; ss:-60 at tiny inputs, where
+#: x^b overflows and the rescaled branch runs.
+BROADCAST_CASES = (
+    [(spec, GRID[::10]) for _, spec, _ in FAMILY_MATRIX]
+    + [(spec, GRID[::10]) for spec in (Lukasiewicz(), *ORDINAL_SUMS,
+                                       Expr("x*y/max(x+y-x*y,1e-300)"))]
+    + [(SchweizerSklar(-60.0), GRID[::10] * 1e-8)])
+
+
+@pytest.mark.parametrize("spec,g", BROADCAST_CASES,
+                         ids=[core.spec_label(s) for s, _ in BROADCAST_CASES])
+@pytest.mark.parametrize("of", ["tnorm", "canonical"])
+def test_kernels_broadcast_bitwise(spec, g, of):
+    """Axes, the meshgrid, (0-d lambda, table) and 0-d pairs give the same
+    bytes and shapes."""
+    def fn(x, y):
+        if of == "tnorm":
+            return tnorm_values(spec, x, y)
+        return companion_values(Canonical(spec), x, y)
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    full = fn(X, Y)
+    same(fn(g[:, None], g[None, :]), full)
+    table = tnorm_values(spec, X, Y)
+    lam = g[3]
+    same(fn(lam, table), fn(np.full_like(table, lam), table))
+    for i, j in [(0, 0), (0, 5), (3, 7), (9, 4), (10, 10), (10, 2)]:
+        same(fn(X[i, j], Y[i, j]), full[i, j])
 
 
 def test_canonical_drastic_example():

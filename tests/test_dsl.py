@@ -237,12 +237,14 @@ def test_eval_array_matches_scalar():
 
 
 def test_eval_array_error_names_point():
-    tree = dsl.parse("x/y")
-    xs = np.asarray([0.5, 0.5])
-    ys = np.asarray([0.5, 0.0])
-    with pytest.raises(EvalError) as err:
-        dsl.eval_expr(tree, xs, ys)
-    assert err.value.point == (0.5, 0.0)
+    for source, xs, ys, point in [
+        ("x/y", [0.5, 0.5], [0.5, 0.0], (0.5, 0.0)),
+        # unequal shapes: the point is read after broadcasting the mask
+        ("1/x", [[1.0], [0.0]], [[0.25, 0.5]], (0.0, 0.25)),
+    ]:
+        with pytest.raises(EvalError) as err:
+            dsl.eval_expr(dsl.parse(source), np.asarray(xs), np.asarray(ys))
+        assert err.value.point == point
 
 
 def test_agreement_with_reference_evaluator():
