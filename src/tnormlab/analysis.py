@@ -31,6 +31,7 @@ from .core import (
     CompanionF,
     OrdinalSum,
     TNormSpec,
+    _format_param,
     companion_label,
     companion_values,
     diagonal,
@@ -120,14 +121,8 @@ class Witness:
     gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "x": self.x,
-            "y": self.y,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-        }
+        d = vars(self).copy()
+        return {"lambda": d.pop("lam"), **d}
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,8 @@ class Report:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "metadata": self.metadata,
-        }
+        return {**vars(self),
+                "witness": self.witness.to_dict() if self.witness else None}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -250,16 +240,23 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
         axis = np.linspace(0.0, 1.0, ASSOC_GRID_CAP)
     n = axis.size
     T_ab = tnorm_values(spec, axis[:, None], axis[None, :])
-    lhs = tnorm_values(spec, axis[:, None, None], T_ab[None, :, :])
-    rhs = tnorm_values(spec, T_ab[:, :, None], axis[None, None, :])
-    r2 = np.abs(lhs - rhs)
+    # the cube in blocks of x rows, each at most ASSOC_GRID_CAP^3 triples
+    rows = max(1, ASSOC_GRID_CAP ** 3 // n ** 2)
     w = None
-    if np.any(r2 > tol):
-        i, j, k = np.unravel_index(int(np.argmax(np.ravel(r2 > tol))), r2.shape)
-        w = Witness(float(axis[i]), float(axis[j]), float(axis[k]),
-                    float(lhs[i, j, k]), float(rhs[i, j, k]),
-                    float(r2[i, j, k]))
-    r2_max = float(r2.max())
+    r2_max = 0.0
+    for start in range(0, n, rows):
+        x = axis[start:start + rows]
+        lhs = tnorm_values(spec, x[:, None, None], T_ab[None, :, :])
+        rhs = tnorm_values(spec, T_ab[start:start + rows, :, None],
+                           axis[None, None, :])
+        r2 = np.abs(lhs - rhs)
+        if w is None and np.any(r2 > tol):
+            i, j, k = np.unravel_index(int(np.argmax(np.ravel(r2 > tol))),
+                                       r2.shape)
+            w = Witness(float(x[i]), float(axis[j]), float(axis[k]),
+                        float(lhs[i, j, k]), float(rhs[i, j, k]),
+                        float(r2[i, j, k]))
+        r2_max = max(r2_max, float(r2.max()))
 
     # random triples extend the capped cube
     samples_used = 0
@@ -479,11 +476,8 @@ def check_archimedean(spec: TNormSpec,
                 n = None
                 break
             p = nxt
-        key = format(probe, ".12g")
-        if reached:
-            minimal_n[key] = n
-        else:
-            minimal_n[key] = None
+        minimal_n[_format_param(probe)] = n if reached else None
+        if not reached:
             gap = p - floor
             max_residual = max(max_residual, gap)
             if witness is None:
@@ -618,17 +612,13 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
     witness = None
     max_residual = 0.0
     if not passed:
-        # first false statement explains the inconsistency
-        for name, dev in deviations.items():
-            if not truth[name]:
-                lhs, rhs, xs, ys = cases[name]
-                flat = int(np.argmax(np.ravel(dev)))
-                witness = _witness_from(1.0, np.ravel(xs)[flat],
-                                        np.ravel(ys)[flat],
-                                        np.ravel(lhs)[flat],
-                                        np.ravel(rhs)[flat])
-                max_residual = witness.gap
-                break
+        # the first false statement explains the inconsistency
+        name = next(name for name, ok in truth.items() if not ok)
+        lhs, rhs, xs, ys = cases[name]
+        flat = int(np.argmax(np.ravel(deviations[name])))
+        witness = _witness_from(1.0, np.ravel(xs)[flat], np.ravel(ys)[flat],
+                                np.ravel(lhs)[flat], np.ravel(rhs)[flat])
+        max_residual = witness.gap
 
     metadata = {
         "tnorm": spec_label(spec),

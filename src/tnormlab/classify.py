@@ -87,12 +87,7 @@ class ClassificationResult:
     evidence: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "residual": self.residual,
-            "evidence": list(self.evidence),
-        }
+        return {**vars(self), "evidence": list(self.evidence)}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -258,20 +253,16 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     idempotent = bool(np.abs(d - g).max() <= grid.strict_tol)
     evidence.append({"test": "idempotent_diagonal", "passed": idempotent,
                      "detail": {"max_deviation": float(np.abs(d - g).max())}})
-    if idempotent:
-        result = validated("Minimum", Minimum(), None)
-        if result:
-            return result
+    if idempotent and (result := validated("Minimum", Minimum(), None)):
+        return result
 
     # (2) diagonal structure: all-zero interior -> Drastic,
     #     zero plateau then identity -> CShelf
     zero_interior, shelf = diagonal_shelf(g, d, grid.eq_tol)
     evidence.append({"test": "zero_diagonal", "passed": zero_interior,
                      "detail": {}})
-    if zero_interior:
-        result = validated("Drastic", Drastic(), None)
-        if result:
-            return result
+    if zero_interior and (result := validated("Drastic", Drastic(), None)):
+        return result
 
     shelf_edge = None
     if shelf is not None:
@@ -279,10 +270,9 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
         shelf_edge = _bisect_diagonal(spec, grid.eq_tol, *shelf, grid.step_h)
     evidence.append({"test": "shelf_pattern", "passed": shelf_edge is not None,
                      "detail": {"shelf_edge": shelf_edge}})
-    if shelf_edge is not None:
-        result = validated("CShelf", CShelf(shelf_edge), shelf_edge)
-        if result:
-            return result
+    if shelf_edge is not None and (
+            result := validated("CShelf", CShelf(shelf_edge), shelf_edge)):
+        return result
 
     # (3) pointwise product
     x, y = g[:, None], g[None, :]
@@ -290,10 +280,8 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     product_match = prod_dev <= grid.eq_tol
     evidence.append({"test": "product_match", "passed": product_match,
                      "detail": {"max_deviation": prod_dev}})
-    if product_match:
-        result = validated("Product", Product(), None)
-        if result:
-            return result
+    if product_match and (result := validated("Product", Product(), None)):
+        return result
 
     # (4) exponent fit
     beta_hat = None
@@ -308,16 +296,15 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                          "detail": {"error": str(err)}})
     if beta_hat is not None:
         family = "SchweizerSklarPos" if beta_hat > 0 else "SchweizerSklarNeg"
-        result = validated(family, SchweizerSklar(beta_hat), beta_hat)
-        if result:
+        if result := validated(family, SchweizerSklar(beta_hat), beta_hat):
             return result
 
     # NotGPH: record how far the closed kinds are and certify with a witness
     for family, candidate in (("Minimum", Minimum()), ("Product", Product()),
                               ("Drastic", Drastic())):
         if not any(e["test"] == _validation_test(family) for e in evidence):
-            result = validated(family, candidate, None)
-            if result:  # a branch predicate was too strict; the residual rules
+            # a branch predicate was too strict; the residual rules
+            if result := validated(family, candidate, None):
                 return result
 
     counterexample = find_gph_counterexample(spec, grid)

@@ -13,9 +13,12 @@ T-norm mini-syntax (one token)::
     min | prod | luk | drastic
     ss:<beta>            Schweizer-Sklar exponent family, beta != 0
     cshelf:<c>           zero below the shelf edge c in (0,1), min above
-    osum:[a,e,T;...]     ordinal sum of rescaled summands (inner T is any
-                         non-osum, non-expr token)
+    osum:[a,e,T;...]     ordinal sum of rescaled summands (each T one of
+                         the tokens above)
     expr:<dsl>           expression in x and y, e.g. expr:max(x+y-1,0)
+
+core.parse_spec reads these tokens; the labels in reports are tokens that
+read back as the exact spec that made them.
 
 Companions: --f canonical (F(x,y) = T(x,x*y), also the default for
 verify), --f catalog (the same companion, accepted only for the six
@@ -30,8 +33,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
-from typing import Optional
+from contextlib import nullcontext
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from . import dsl
 from .analysis import (
@@ -45,7 +49,6 @@ from .analysis import (
 )
 from .classify import PreconditionError, classify
 from .core import (
-    TNORM_KINDS,
     Canonical,
     Catalog,
     CompanionF,
@@ -54,44 +57,17 @@ from .core import (
     TNormSpec,
     eval_companion,
     eval_tnorm,
+    parse_spec,
 )
 
 DEFAULT_SEED = 0xC0FFEE
-
-
-class UsageError(Exception):
-    pass
-
-
-#: mini-syntax name -> t-norm kind
-_KINDS = {token: kind for kind in TNORM_KINDS for token in kind.tokens}
-
-
-def parse_tnorm_token(token: str, allow_compound: bool = True) -> TNormSpec:
-    head, colon, body = token.strip().partition(":")
-    head = head.lower()
-    kind = _KINDS.get(head)
-    # a kind with fields is written name:<body>, one without as its name
-    if kind is None or bool(colon) != bool(fields(kind)):
-        raise UsageError(f"unknown t-norm spec {token!r}; see --help for the"
-                         " mini-syntax")
-    if not (allow_compound or kind.catalog):
-        raise UsageError(f"{head} cannot nest in the mini-syntax")
-    try:
-        return kind.from_token(
-            body, lambda inner: parse_tnorm_token(inner, allow_compound=False))
-    except (ValueError, DomainError) as err:
-        raise UsageError(f"bad {head}: spec {token!r}: {err}") from err
 
 
 def _companion_from_args(args, spec: TNormSpec) -> Optional[CompanionF]:
     if args.f_expr:
         return Expr(dsl.parse(args.f_expr))
     if args.f == "catalog":
-        try:
-            return Catalog(spec)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
+        return Catalog(spec)
     if args.f == "canonical":
         return Canonical(spec)
     return None
@@ -107,18 +83,18 @@ def _grid_from_args(args) -> GridSpec:
                     seed=seed, step_h=args.step_h)
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-        return
+def _write(args, chunks: Iterable[str]) -> None:
+    """Write the text chunks to --out or stdout, ending with a newline."""
     try:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        sys.stdout.flush()
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else nullcontext(sys.stdout)) as out:
+            tail = ""
+            for chunk in chunks:
+                out.write(chunk)
+                tail = chunk or tail
+            if not tail.endswith("\n"):
+                out.write("\n")
+            out.flush()
     except BrokenPipeError:
         # The reader closed the pipe (e.g. `| head`); the verdict's exit code
         # still stands.  Point stdout at devnull so the interpreter's final
@@ -126,18 +102,22 @@ def _write(args, text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _csv_chunks(spec, companion, grid: GridSpec) -> Iterator[str]:
+    """The residual CSV, one chunk per lambda slice after the header."""
+    yield RESIDUAL_CSV_HEADER + "\n"
+    rows = residual_rows(spec, companion, grid)
+    while chunk := "".join(f"{lam!r},{x!r},{y!r},{lhs!r},{rhs!r},{res!r}\n"
+                           for lam, x, y, lhs, rhs, res
+                           in islice(rows, grid.points ** 2)):
+        yield chunk
+
+
 def _emit_report(args, report: Report, spec=None, companion=None,
                  grid: Optional[GridSpec] = None) -> None:
     if args.csv:
-        lines = [RESIDUAL_CSV_HEADER]
-        for lam, x, y, lhs, rhs, res in residual_rows(spec, companion, grid):
-            lines.append(f"{lam!r},{x!r},{y!r},{lhs!r},{rhs!r},{res!r}")
-        _write(args, "\n".join(lines))
-        return
-    if args.json:
-        _write(args, report.to_json())
-        return
-    _write(args, report.summary())
+        _write(args, _csv_chunks(spec, companion, grid))
+    else:
+        _write(args, [report.to_json() if args.json else report.summary()])
 
 
 # --------------------------------------------------------------------------
@@ -145,23 +125,23 @@ def _emit_report(args, report: Report, spec=None, companion=None,
 # --------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    spec = parse_tnorm_token(args.tnorm)
+    spec = parse_spec(args.tnorm)
     companion = _companion_from_args(args, spec)
     if companion is None:
         value = eval_tnorm(spec, args.x, args.y)
     else:
         value = eval_companion(companion, args.x, args.y)
     if args.json:
-        _write(args, json.dumps({"command": "eval", "tnorm": args.tnorm,
-                                 "x": args.x, "y": args.y, "value": value},
-                                indent=2))
+        _write(args, [json.dumps({"command": "eval", "tnorm": args.tnorm,
+                                  "x": args.x, "y": args.y, "value": value},
+                                 indent=2)])
     else:
-        _write(args, format(value, ".12g"))
+        _write(args, [format(value, ".12g")])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    spec = parse_tnorm_token(args.tnorm)
+    spec = parse_spec(args.tnorm)
     companion = _companion_from_args(args, spec)
     grid = _grid_from_args(args)
     if companion is not None:
@@ -176,7 +156,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    spec = parse_tnorm_token(args.tnorm)
+    spec = parse_spec(args.tnorm)
     grid = _grid_from_args(args)
     report = find_gph_counterexample(spec, grid)
     _emit_report(args, report, spec, None, grid)
@@ -184,11 +164,11 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    spec = parse_tnorm_token(args.tnorm)
+    spec = parse_spec(args.tnorm)
     grid = _grid_from_args(args)
     result = classify(spec, grid, assoc_full=args.assoc_full)
     if args.json:
-        _write(args, result.to_json())
+        _write(args, [result.to_json()])
     else:
         lines = [f"family={result.family}"
                  f" parameter={'-' if result.parameter is None else format(result.parameter, '.12g')}"
@@ -196,7 +176,7 @@ def _cmd_classify(args) -> int:
         for entry in result.evidence:
             lines.append(f"  {entry['test']}: "
                          f"{'pass' if entry['passed'] else 'fail'} {entry['detail']}")
-        _write(args, "\n".join(lines))
+        _write(args, ["\n".join(lines)])
     return 0 if result.family != "NotGPH" else 1
 
 
@@ -220,7 +200,7 @@ _CATALOG_TABLE = [
 
 def _cmd_catalog(args) -> int:
     if args.json:
-        _write(args, json.dumps({"families": _CATALOG_TABLE}, indent=2))
+        _write(args, [json.dumps({"families": _CATALOG_TABLE}, indent=2)])
         return 0
     lines = ["Families admitting a companion under T(l*x, l*y) = F(l, T(x, y)):",
              ""]
@@ -231,7 +211,7 @@ def _cmd_catalog(args) -> int:
         lines.append("")
     lines.append("Everything else fails verify/counterexample; in particular"
                  " every non-trivial ordinal sum does.")
-    _write(args, "\n".join(lines))
+    _write(args, ["\n".join(lines)])
     return 0
 
 
@@ -323,16 +303,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"tnormlab: {err}", file=sys.stderr)
-        return 2
     except dsl.ParseError as err:
         print(f"tnormlab: expression error {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # a long operator chain parses iteratively but is evaluated and
-        # serialized recursively
-        print("tnormlab: expression nests too deeply to evaluate", file=sys.stderr)
         return 2
     except (dsl.EvalError, DomainError, PreconditionError, ValueError) as err:
         print(f"tnormlab: {err}", file=sys.stderr)

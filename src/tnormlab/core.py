@@ -22,7 +22,9 @@ for use as verification and counterexample targets.
 
 Each kind is declared once, as a frozen dataclass holding its mini-syntax
 tokens, its label and its array kernel; tnorm_values, spec_label,
-CATALOG_KINDS and the CLI's token parser derive from those declarations.
+CATALOG_KINDS and parse_spec derive from those declarations.  A label is
+a mini-syntax token: parse_spec(spec_label(s)) == s for every spec whose
+ordinal-sum summands are catalog kinds, the only summands allowed.
 
 All evaluation is pure; values are binary64 and results of power-based
 formulas are clamped to [0, 1] with at most CLAMP_SLACK of drift allowed.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,6 +75,7 @@ __all__ = [
     "t_power",
     "diagonal_pseudo_inverse",
     "spec_label",
+    "parse_spec",
     "companion_label",
 ]
 
@@ -110,13 +113,14 @@ class _Kind:
 
     A kind without fields is written as its token; a kind with one float
     field as ``token:<value>``.  The compound kinds (ordinal sums and
-    expressions) override ``label`` and ``from_token``.  ``values`` gets
+    expressions) override ``label`` and ``from_token``; ``from_token`` gets
+    the text after the colon and returns the spec.  ``values`` gets
     float arrays of any broadcastable shapes, 0-d included.
     """
 
     #: names the mini-syntax accepts; labels use the first.
     tokens: tuple[str, ...] = ()
-    #: whether the kind is in the closed catalog (and may nest in an osum).
+    #: whether the kind is in the closed catalog (and may be an osum summand).
     catalog = True
 
     def label(self) -> str:
@@ -124,7 +128,7 @@ class _Kind:
         return ":".join([self.tokens[0], *params])
 
     @classmethod
-    def from_token(cls, body: str, parse_inner: Callable[[str], "_Kind"]) -> "_Kind":
+    def from_token(cls, body: str) -> "_Kind":
         """The spec written ``token:body`` (``body`` is empty without fields)."""
         return cls(float(body)) if fields(cls) else cls()
 
@@ -228,6 +232,9 @@ class Summand:
         hi = as_unit(self.upper, "summand upper bound")
         if not lo < hi:
             raise ValueError(f"summand needs lower < upper; got [{lo}, {hi}]")
+        if not isinstance(self.inner, CATALOG_KINDS):
+            raise ValueError(f"summand must be a catalog kind; got"
+                             f" {type(self.inner).__name__}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -259,8 +266,8 @@ class OrdinalSum(_Kind):
         return f"osum:[{parts}]"
 
     @classmethod
-    def from_token(cls, body, parse_inner):
-        """``[a,e,T;...]``, each inner T parsed by ``parse_inner``."""
+    def from_token(cls, body):
+        """``[a,e,T;...]``, each inner T a catalog token."""
         body = body.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError("needs the form osum:[a,e,T;...]")
@@ -270,7 +277,7 @@ class OrdinalSum(_Kind):
             if len(items) != 3:
                 raise ValueError(f"summand needs a,e,T; got {part!r}")
             summands.append((float(items[0]), float(items[1]),
-                             parse_inner(items[2])))
+                             parse_spec(items[2])))
         return cls(summands)
 
     def values(self, x, y):
@@ -307,7 +314,7 @@ class Expr(_Kind):
         return f"expr:{dsl.serialize(self.ast)}"
 
     @classmethod
-    def from_token(cls, body, parse_inner):
+    def from_token(cls, body):
         return cls(body)
 
     def values(self, x, y):
@@ -412,16 +419,12 @@ def companion_values(f: CompanionF, x, y) -> np.ndarray:
 
 def eval_tnorm(spec: TNormSpec, x: float, y: float) -> float:
     """T(x, y) for unit values x, y."""
-    xv = as_unit(x, "x")
-    yv = as_unit(y, "y")
-    return float(tnorm_values(spec, np.asarray([xv]), np.asarray([yv]))[0])
+    return float(tnorm_values(spec, [as_unit(x, "x")], [as_unit(y, "y")])[0])
 
 
 def eval_companion(f: CompanionF, x: float, y: float) -> float:
     """F(x, y) for unit values x, y."""
-    xv = as_unit(x, "x")
-    yv = as_unit(y, "y")
-    return float(companion_values(f, np.asarray([xv]), np.asarray([yv]))[0])
+    return float(companion_values(f, [as_unit(x, "x")], [as_unit(y, "y")])[0])
 
 
 def diagonal(spec: TNormSpec, x: float) -> float:
@@ -502,15 +505,37 @@ def _bisect_diagonal(spec: TNormSpec, level: float, lo: float, hi: float,
 
 
 # --------------------------------------------------------------------------
-# Labels (shared by reports and the CLI mini-syntax)
+# Labels and the mini-syntax
 # --------------------------------------------------------------------------
 
 def _format_param(v: float) -> str:
-    return format(v, ".12g")
+    """12 significant digits if they read back as ``v``, else repr."""
+    short = format(v, ".12g")
+    return short if float(short) == v else repr(float(v))
 
 
 def spec_label(spec: TNormSpec) -> str:
+    """The mini-syntax token of ``spec``; parse_spec reads it back."""
     return spec.label()
+
+
+#: mini-syntax name -> t-norm kind
+_KINDS = {token: kind for kind in TNORM_KINDS for token in kind.tokens}
+
+
+def parse_spec(token: str) -> TNormSpec:
+    """The spec a mini-syntax token names; ValueError when it names none."""
+    head, colon, body = token.strip().partition(":")
+    head = head.lower()
+    kind = _KINDS.get(head)
+    # a kind with fields is written name:<body>, one without as its name
+    if kind is None or bool(colon) != bool(fields(kind)):
+        raise ValueError(f"unknown t-norm spec {token!r}; see --help for the"
+                         " mini-syntax")
+    try:
+        return kind.from_token(body)
+    except (ValueError, DomainError) as err:
+        raise ValueError(f"bad {head}: spec {token!r}: {err}") from err
 
 
 def companion_label(f: CompanionF) -> str:

@@ -17,7 +17,8 @@ always explicit.  There is no lambda variable: scaling checks substitute
 the scale factor into ``x`` of a two-variable expression.
 
 ``serialize`` emits a fully parenthesized canonical form that reparses to
-a structurally identical tree.
+a structurally identical tree while its parentheses nest within the
+parser's recursion limit.
 
 Evaluation follows IEEE-754 double semantics and is total except for three
 conditions, each reported as :class:`EvalError` naming the offending AST
@@ -28,6 +29,7 @@ produced in the tree.  Both scalars and numpy arrays are accepted.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -43,6 +45,7 @@ __all__ = [
     "Call",
     "ParseError",
     "EvalError",
+    "MAX_DEPTH",
     "parse",
     "serialize",
     "eval_expr",
@@ -242,9 +245,26 @@ class _Parser:
         raise ParseError(tok.position, "an expression", tok.describe())
 
 
+#: tallest tree ``parse`` accepts, in nodes from the root to the deepest
+#: leaf.  Evaluation and serialization recurse once per level; 500 leaves
+#: room under the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 500
+
+
+def _height(node: Expression) -> int:
+    """Nodes on the longest root-to-leaf path, counted level by level."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [getattr(n, f) for n in level
+                 for f in ("operand", "left", "right") if hasattr(n, f)]
+    return height
+
+
 def parse(source: str) -> Expression:
     """Parse ``source`` into an AST; raises :class:`ParseError` on any violation,
-    nesting deeper than the interpreter's recursion limit included."""
+    trees taller than MAX_DEPTH and nesting deeper than the interpreter's
+    recursion limit included."""
     parser = _Parser(_tokenize(source))
     try:
         node = parser.parse_expression(0)
@@ -254,6 +274,10 @@ def parse(source: str) -> Expression:
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(tail.position, "end of input", tail.describe())
+    height = _height(node)
+    if height > MAX_DEPTH:
+        raise ParseError(0, f"an expression at most {MAX_DEPTH} levels deep",
+                         f"{height} levels")
     return node
 
 
@@ -296,6 +320,9 @@ def _check_nan(value, node: Expression, x, y):
     return value
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def _eval(node: Expression, x, y):
     if isinstance(node, Const):
         return node.value
@@ -311,12 +338,8 @@ def _eval(node: Expression, x, y):
     if isinstance(node, BinOp):
         a = _eval(node.left, x, y)
         b = _eval(node.right, x, y)
-        if node.op == "+":
-            value = a + b
-        elif node.op == "-":
-            value = a - b
-        elif node.op == "*":
-            value = a * b
+        if node.op in _ARITH:
+            value = _ARITH[node.op](a, b)
         elif node.op == "/":
             zero = np.broadcast_to(np.asarray(b) == 0, np.broadcast(a, b).shape)
             if np.any(zero):

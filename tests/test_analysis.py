@@ -106,6 +106,37 @@ def test_axioms_full_cube_flag():
     assert report.metadata["assoc_points"] == 51
 
 
+def test_assoc_full_cube_evaluated_in_bounded_blocks(monkeypatch):
+    largest = 0
+
+    def recording(spec, x, y):
+        nonlocal largest
+        out = tnorm_values(spec, x, y)
+        largest = max(largest, out.size)
+        return out
+
+    monkeypatch.setattr(an, "tnorm_values", recording)
+    report = check_axioms(SchweizerSklar(-1), GridSpec(points=101), assoc_full=True)
+    assert report.metadata["assoc_points"] == 101
+    assert largest <= an.ASSOC_GRID_CAP ** 3
+
+
+def test_assoc_blocks_keep_the_whole_cube_witness():
+    # commutative, monotone, neutral 1, not associative
+    spec = Expr("x*y*(1+(1-x)*(1-y)/2)")
+    g = GridSpec(points=61)
+    report = check_axioms(spec, g, assoc_full=True)
+    a = g.axis()
+    t = tnorm_values(spec, a[:, None], a[None, :])
+    r2 = np.abs(tnorm_values(spec, a[:, None, None], t[None, :, :])
+                - tnorm_values(spec, t[:, :, None], a[None, None, :]))
+    i, j, k = np.unravel_index(int(np.argmax(np.ravel(r2 > g.strict_tol))), r2.shape)
+    assert report.metadata["failed_axiom"] == "T2"
+    assert report.metadata["axiom_residuals"]["T2"] == float(r2.max())
+    w = report.witness
+    assert (w.lam, w.x, w.y, w.gap) == (a[i], a[j], a[k], r2[i, j, k])
+
+
 # --------------------------------------------------------------------------
 # canonical_f / reconstruct
 # --------------------------------------------------------------------------
@@ -254,6 +285,11 @@ def test_archimedean_product():
     report = check_archimedean(Product(), x_probe=(0.5, 0.9, 0.99))
     assert report.passed
     assert report.metadata["minimal_n"]["0.9"] == 66
+
+
+def test_archimedean_keys_distinct_probes_apart():
+    report = check_archimedean(Product(), x_probe=(0.9, 0.9000000000001))
+    assert sorted(report.metadata["minimal_n"]) == ["0.9", "0.9000000000001"]
 
 
 def test_archimedean_minimum_fails():

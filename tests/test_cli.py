@@ -3,11 +3,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnormlab.analysis import GridSpec, check_gph
-from tnormlab.cli import main, parse_tnorm_token
+from tnormlab.cli import main
 from tnormlab.core import (
     CShelf,
     Drastic,
@@ -16,6 +16,7 @@ from tnormlab.core import (
     OrdinalSum,
     Product,
     SchweizerSklar,
+    parse_spec,
     spec_label,
 )
 
@@ -31,30 +32,25 @@ def run(capsys, *argv):
 # --------------------------------------------------------------------------
 
 def test_token_named_and_parametric():
-    assert parse_tnorm_token("lukasiewicz") == Lukasiewicz()
-    assert parse_tnorm_token("ss:2") == SchweizerSklar(2.0)
-    assert parse_tnorm_token("cshelf:0.25") == CShelf(0.25)
+    assert parse_spec("lukasiewicz") == Lukasiewicz()
+    assert parse_spec("ss:2") == SchweizerSklar(2.0)
+    assert parse_spec("cshelf:0.25") == CShelf(0.25)
 
 
 def test_token_ordinal_sum():
-    spec = parse_tnorm_token("osum:[0,0.5,lukasiewicz]")
+    spec = parse_spec("osum:[0,0.5,lukasiewicz]")
     assert isinstance(spec, OrdinalSum)
     assert spec.summands[0].upper == 0.5
 
 
 def test_token_rejects_unknown():
-    from tnormlab.cli import UsageError
-    with pytest.raises(UsageError):
-        parse_tnorm_token("frobnicate")
+    with pytest.raises(ValueError, match="mini-syntax"):
+        parse_spec("frobnicate")
 
 
-def _digits12(v: float) -> float:
-    return float(format(v, ".12g"))
-
-
-_BETAS = st.floats(min_value=-60.0, max_value=60.0).map(_digits12).filter(
+_BETAS = st.floats(min_value=-60.0, max_value=60.0).filter(
     lambda b: abs(b) >= 1e-3)
-_EDGES = st.floats(min_value=0.0, max_value=1.0).map(_digits12).filter(
+_EDGES = st.floats(min_value=0.0, max_value=1.0).filter(
     lambda c: 0.0 < c < 1.0)
 _CATALOG_SPECS = st.one_of(
     st.sampled_from([Minimum(), Product(), Lukasiewicz(), Drastic()]),
@@ -66,7 +62,7 @@ _CATALOG_SPECS = st.one_of(
 @st.composite
 def _ordinal_sums(draw):
     n = draw(st.integers(min_value=1, max_value=3))
-    cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0).map(_digits12),
+    cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
                                 min_size=2 * n, max_size=2 * n, unique=True)))
     return OrdinalSum([(cuts[2 * i], cuts[2 * i + 1], draw(_CATALOG_SPECS))
                        for i in range(n)])
@@ -74,8 +70,15 @@ def _ordinal_sums(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(spec=st.one_of(_CATALOG_SPECS, _ordinal_sums()))
+@example(spec=SchweizerSklar(1 / 3))
+@example(spec=CShelf(1 / 3))
 def test_label_parses_back_to_its_spec(spec):
-    assert parse_tnorm_token(spec_label(spec)) == spec
+    assert parse_spec(spec_label(spec)) == spec
+
+
+def test_label_keeps_exact_short_form():
+    assert spec_label(SchweizerSklar(2.0)) == "ss:2"
+    assert spec_label(OrdinalSum([(0.2, 0.6, Lukasiewicz())])) == "osum:[0.2,0.6,luk]"
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +175,16 @@ def test_csv_output(capsys):
     assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
+@pytest.mark.parametrize("tnorm", ["ss:2", "osum:[0,0.5,luk]"])
+def test_csv_out_file_matches_stdout(tmp_path, capsys, tnorm):
+    argv = ["verify", "--tnorm", tnorm, "--points", "7", "--samples", "0", "--csv"]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "rows.csv"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert code == (0 if tnorm == "ss:2" else 1)
+    assert target.read_bytes() == out.encode()
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--tnorm", "min", "--points", "11",
@@ -241,7 +254,7 @@ def test_option_only_on_subcommands_that_read_it(capsys, argv):
 @pytest.mark.parametrize("tnorm", ["ss:2", "osum:[0,0.5,luk]"])
 def test_closed_stdout_keeps_verdict_exit_code(tnorm):
     points = 41
-    verdict = check_gph(parse_tnorm_token(tnorm), None, GridSpec(points=points))
+    verdict = check_gph(parse_spec(tnorm), None, GridSpec(points=points))
     proc = subprocess.Popen(
         [sys.executable, "-m", "tnormlab", "verify", "--tnorm", tnorm, "--csv",
          "--points", str(points)],

@@ -19,6 +19,7 @@ from tnormlab.core import (
     Product,
     SchweizerSklar,
     StructuralError,
+    Summand,
     companion_values,
     diagonal,
     diagonal_pseudo_inverse,
@@ -307,6 +308,16 @@ def test_ordinal_sum_validation():
     summands = OrdinalSum([(0.5, 1.0, Product()),
                            (0.0, 0.5, Lukasiewicz())]).summands
     assert [s.lower for s in summands] == [0.0, 0.5]  # normalized order
+
+
+@pytest.mark.parametrize("inner", [Expr("x*y"),
+                                   OrdinalSum([(0.0, 0.5, Lukasiewicz())])],
+                         ids=["expr", "osum"])
+def test_summand_must_be_catalog_kind(inner):
+    with pytest.raises(ValueError, match="catalog kind"):
+        Summand(0.0, 0.5, inner)
+    with pytest.raises(ValueError, match="catalog kind"):
+        OrdinalSum([(0.0, 0.5, inner)])
 
 
 def test_ordinal_sum_touching_endpoints_allowed():

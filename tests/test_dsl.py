@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnormlab import dsl
+from tnormlab.analysis import GridSpec, check_gph
+from tnormlab.core import Expr, spec_label
 from tnormlab.dsl import BinOp, Call, Const, EvalError, Neg, ParseError, Var
 from tnormlab.rng import SplitMix64
 
@@ -134,11 +136,22 @@ def test_parse_error_position_at_end():
 @pytest.mark.parametrize("source", ["", "x +", "min(x)", "1..2", "x y", "foo",
                                     "(x", "x)", "x ** y", "2 2",
                                     pytest.param("(" * 3000 + "x" + ")" * 3000,
-                                                 id="deep-nesting")])
+                                                 id="deep-nesting"),
+                                    pytest.param("x*y" + "+0*x" * 3000,
+                                                 id="tall-chain"),
+                                    # x*y is 2 nodes tall, each "+0*x" adds one
+                                    pytest.param("x*y" + "+0*x" * (dsl.MAX_DEPTH - 1),
+                                                 id="one-over-max-depth")])
 def test_parse_rejections(source):
     with pytest.raises(ParseError) as err:
         dsl.parse(source)
     assert 0 <= err.value.position <= len(source) + 1
+
+
+def test_tallest_accepted_chain_evaluates_and_serializes():
+    spec = Expr("x*y" + "+0*x" * (dsl.MAX_DEPTH - 2))
+    assert check_gph(spec, None, GridSpec(points=5, samples=10)).passed
+    assert spec_label(spec).count(" + ") == dsl.MAX_DEPTH - 2
 
 
 def test_implicit_multiplication_rejected():
