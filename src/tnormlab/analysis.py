@@ -9,7 +9,11 @@ byte for byte.
 
 Witness slots are named after the scaling equation T(l*x, l*y) =
 F(l, T(x, y)); checks that probe pairs rather than triples set ``lam`` to
-1 and document the slot meaning in the report metadata.
+1 and document the slot meaning in the report metadata.  Every witness
+has gap = |lhs - rhs|.  Staged checks (the axioms, the diagonal's
+monotonicity) report the first violation in scan order; sweeps (the
+scaling equation, grid jumps, the minimum equivalences) report the first
+maximal one.
 
 Continuity cannot be decided from finitely many samples.  The two checks
 that talk about it use a grid-jump surrogate (adjacent values differing by
@@ -151,9 +155,26 @@ class Report:
 
 
 def _witness_from(lam, x, y, lhs, rhs) -> Witness:
+    """The one place a :class:`Witness` is built: gap = |lhs - rhs|."""
     lhs = float(lhs)
     rhs = float(rhs)
     return Witness(float(lam), float(x), float(y), lhs, rhs, abs(lhs - rhs))
+
+
+def _witness_at(i: int, lam, x, y, lhs, rhs) -> Witness:
+    """The witness at flat index ``i`` (C order) of the slot arrays
+    broadcast together."""
+    slots = np.nditer((lam, x, y, lhs, rhs), order="C")
+    slots.iterindex = i
+    return _witness_from(*slots.value)
+
+
+def _first_over(res: np.ndarray, tol: float, *slots) -> Optional[Witness]:
+    """The witness at the first entry of ``res`` above ``tol`` (C order),
+    or None; ``slots`` broadcast to the shape of ``res``."""
+    over = res > tol
+    i = int(np.argmax(over))
+    return _witness_at(i, *slots) if over.flat[i] else None
 
 
 def canonical_f(spec: TNormSpec) -> Canonical:
@@ -192,90 +213,57 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
     """
     g = grid.axis()
     tol = grid.strict_tol
-    T_xy = tnorm_values(spec, g[:, None], g[None, :])
-
-    residuals: dict[str, float] = {}
-    witness = None
-    failed_axiom = None
-
-    def note(axiom: str, res: float, w: Optional[Witness]):
-        nonlocal witness, failed_axiom
-        residuals[axiom] = res
-        if w is not None and witness is None:
-            witness = w
-            failed_axiom = axiom
-
-    # T4: T(x, 1) = x
+    x, y = g[:, None], g[None, :]
+    T_xy = tnorm_values(spec, x, y)
     col = tnorm_values(spec, g, 1.0)
-    r4 = np.abs(col - g)
-    w = None
-    if np.any(r4 > tol):
-        i = int(np.argmax(r4 > tol))
-        w = _witness_from(1.0, g[i], 1.0, col[i], g[i])
-    note("T4", float(r4.max()), w)
 
-    # T1: T(x, y) = T(y, x)
-    r1 = np.abs(T_xy - T_xy.T)
-    w = None
-    if np.any(r1 > tol):
-        i, j = np.unravel_index(int(np.argmax(np.ravel(r1 > tol))), r1.shape)
-        w = _witness_from(1.0, g[i], g[j], T_xy[i, j], T_xy[j, i])
-    note("T1", float(r1.max()), w)
-
-    # T3: y <= z implies T(x, y) <= T(x, z); adjacent columns suffice
-    drops = T_xy[:, :-1] - T_xy[:, 1:]
-    r3 = np.maximum(drops, 0.0)
-    w = None
-    if np.any(r3 > tol):
-        i, j = np.unravel_index(int(np.argmax(np.ravel(r3 > tol))), r3.shape)
-        w = Witness(float(g[i]), float(g[j]), float(g[j + 1]),
-                    float(T_xy[i, j + 1]), float(T_xy[i, j]),
-                    float(T_xy[i, j] - T_xy[i, j + 1]))
-    note("T3", float(r3.max()), w)
-
-    # T2: T(x, T(y, z)) = T(T(x, y), z)
     if assoc_full or grid.points <= ASSOC_GRID_CAP:
         axis = g
     else:
         axis = np.linspace(0.0, 1.0, ASSOC_GRID_CAP)
     n = axis.size
-    T_ab = tnorm_values(spec, axis[:, None], axis[None, :])
-    # the cube in blocks of x rows, each at most ASSOC_GRID_CAP^3 triples
-    rows = max(1, ASSOC_GRID_CAP ** 3 // n ** 2)
-    w = None
-    r2_max = 0.0
-    for start in range(0, n, rows):
-        x = axis[start:start + rows]
-        lhs = tnorm_values(spec, x[:, None, None], T_ab[None, :, :])
-        rhs = tnorm_values(spec, T_ab[start:start + rows, :, None],
-                           axis[None, None, :])
-        r2 = np.abs(lhs - rhs)
-        if w is None and np.any(r2 > tol):
-            i, j, k = np.unravel_index(int(np.argmax(np.ravel(r2 > tol))),
-                                       r2.shape)
-            w = Witness(float(x[i]), float(axis[j]), float(axis[k]),
-                        float(lhs[i, j, k]), float(rhs[i, j, k]),
-                        float(r2[i, j, k]))
-        r2_max = max(r2_max, float(r2.max()))
+    samples_used = grid.samples if n < grid.points else 0
 
-    # random triples extend the capped cube
-    samples_used = 0
-    if axis.size < grid.points and grid.samples > 0:
-        rng = SplitMix64(grid.seed)
-        trip = rng.unit_tuples(grid.samples, 3)
-        a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
-        lhs_r = tnorm_values(spec, a, tnorm_values(spec, b, c))
-        rhs_r = tnorm_values(spec, tnorm_values(spec, a, b), c)
-        rr = np.abs(lhs_r - rhs_r)
-        samples_used = grid.samples
-        if w is None and np.any(rr > tol):
-            i = int(np.argmax(rr > tol))
-            w = _witness_from(a[i], b[i], c[i], lhs_r[i], rhs_r[i])
-        r2_max = max(r2_max, float(rr.max()))
-    note("T2", r2_max, w)
+    def assoc():
+        """T2 pieces: the cube in blocks of x rows, each at most
+        ASSOC_GRID_CAP^3 triples, then random triples extending a capped
+        cube."""
+        T_ab = tnorm_values(spec, axis[:, None], axis[None, :])
+        rows = max(1, ASSOC_GRID_CAP ** 3 // n ** 2)
+        for start in range(0, n, rows):
+            a = axis[start:start + rows, None, None]
+            lhs = tnorm_values(spec, a, T_ab[None, :, :])
+            rhs = tnorm_values(spec, T_ab[start:start + rows, :, None],
+                               axis[None, None, :])
+            yield (np.abs(lhs - rhs), a, axis[None, :, None], axis[None, None, :],
+                   lhs, rhs)
+        if samples_used:
+            a, b, c = SplitMix64(grid.seed).unit_tuples(samples_used, 3).T
+            lhs = tnorm_values(spec, a, tnorm_values(spec, b, c))
+            rhs = tnorm_values(spec, tnorm_values(spec, a, b), c)
+            yield np.abs(lhs - rhs), a, b, c, lhs, rhs
+
+    # axiom -> pieces (residual, lam, x, y, lhs, rhs).  T4: T(x, 1) = x;
+    # T1: T(x, y) = T(y, x); T3: y <= z implies T(x, y) <= T(x, z), checked
+    # on adjacent columns with lhs the later value; T2: T(x, T(y, z)) =
+    # T(T(x, y), z)
+    stages = {
+        "T4": [(np.abs(col - g), 1.0, g, 1.0, col, g)],
+        "T1": [(np.abs(T_xy - T_xy.T), 1.0, x, y, T_xy, T_xy.T)],
+        "T3": [(np.maximum(T_xy[:, :-1] - T_xy[:, 1:], 0.0),
+                x, y[:, :-1], y[:, 1:], T_xy[:, 1:], T_xy[:, :-1])],
+        "T2": assoc(),
+    }
+    residuals: dict[str, float] = {}
+    witness = failed_axiom = None
+    for axiom, pieces in stages.items():
+        residuals[axiom] = 0.0
+        for res, *slots in pieces:
+            residuals[axiom] = max(residuals[axiom], float(res.max()))
+            if witness is None and (witness := _first_over(res, tol, *slots)):
+                failed_axiom = axiom
 
     max_residual = max(residuals.values())
-    passed = max_residual <= tol
     metadata = {
         "tnorm": spec_label(spec),
         "points": grid.points,
@@ -288,8 +276,7 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
         "witness_slots": "T2 uses (lam, x, y) = probed triple; T3 uses"
                          " (x; y, z) with y <= z; pair checks set lam = 1",
     }
-    return Report("axioms", passed, max_residual, witness if not passed else None,
-                  metadata)
+    return Report("axioms", max_residual <= tol, max_residual, witness, metadata)
 
 
 # --------------------------------------------------------------------------
@@ -297,15 +284,16 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # --------------------------------------------------------------------------
 
 def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
-    """Yield (lam, lhs, rhs, residual) for each grid lambda in scan order:
-    both sides of the scaling equation over the (x, y) grid, x on axis 0."""
+    """Yield (residual, lam, x, y, lhs, rhs) for each grid lambda in scan
+    order: both sides of the scaling equation over the (x, y) grid, x on
+    axis 0."""
     g = grid.axis()
     x, y = g[:, None], g[None, :]
     T_xy = tnorm_values(spec, x, y)
     for lam in g:
         lhs = tnorm_values(spec, lam * x, lam * y)
         rhs = companion_values(comp, lam, T_xy)
-        yield lam, lhs, rhs, np.abs(lhs - rhs)
+        yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -318,28 +306,21 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     random triples; the witness is the first maximal-gap triple.
     """
     comp = canonical_f(spec) if f is None else f
-    g = grid.axis()
+
+    def pieces():
+        yield from _gph_slices(spec, comp, grid)
+        if grid.samples > 0:
+            lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
+            lhs = tnorm_values(spec, lam * x, lam * y)
+            rhs = companion_values(comp, lam, tnorm_values(spec, x, y))
+            yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
+
     best_gap = -1.0
     best = None
-    for lam, lhs, rhs, res in _gph_slices(spec, comp, grid):
+    for res, *slots in pieces():
         m = float(res.max())
         if m > best_gap:
-            idx = int(np.argmax(np.ravel(res)))
-            i, j = np.unravel_index(idx, res.shape)
-            best = _witness_from(lam, g[i], g[j], lhs[i, j], rhs[i, j])
-            best_gap = m
-
-    if grid.samples > 0:
-        rng = SplitMix64(grid.seed)
-        trip = rng.unit_tuples(grid.samples, 3)
-        lam_r, x_r, y_r = trip[:, 0], trip[:, 1], trip[:, 2]
-        lhs = tnorm_values(spec, lam_r * x_r, lam_r * y_r)
-        rhs = companion_values(comp, lam_r, tnorm_values(spec, x_r, y_r))
-        res = np.abs(lhs - rhs)
-        m = float(res.max())
-        if m > best_gap:
-            i = int(np.argmax(res))
-            best = _witness_from(lam_r[i], x_r[i], y_r[i], lhs[i], rhs[i])
+            best = _witness_at(int(np.argmax(res)), *slots)
             best_gap = m
 
     passed = best_gap <= grid.eq_tol
@@ -364,10 +345,8 @@ def check_unit_scale(f: CompanionF, grid: GridSpec = GridSpec()) -> Report:
     res = np.abs(vals - g)
     m = float(res.max())
     passed = m <= grid.eq_tol
-    witness = None
-    if not passed:
-        i = int(np.argmax(np.ravel(res)))
-        witness = _witness_from(1.0, 1.0, g[i], vals[i], g[i])
+    witness = (None if passed
+               else _witness_at(int(np.argmax(res)), 1.0, 1.0, g, vals, g))
     return Report("unit_scale", passed, m, witness, {
         "companion": companion_label(f),
         "points": grid.points,
@@ -406,8 +385,7 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
     boundary_witness = None
     if np.any(vanishing):
         i = int(np.nonzero(vanishing)[0][-1])  # largest violating x
-        boundary_witness = Witness(1.0, float(g[i]), 1.0, float(col[i]),
-                                   float(g[i]), float(g[i] - col[i]))
+        boundary_witness = _witness_from(1.0, g[i], 1.0, col[i], g[i])
     elif not zero_ok:
         boundary_witness = _witness_from(1.0, 0.0, 1.0, col[0], 0.0)
 
@@ -477,12 +455,10 @@ def check_archimedean(spec: TNormSpec,
                 break
             p = nxt
         minimal_n[_format_param(probe)] = n if reached else None
-        if not reached:
-            gap = p - floor
-            max_residual = max(max_residual, gap)
+        if not reached:  # here p >= floor
+            max_residual = max(max_residual, p - floor)
             if witness is None:
-                witness = Witness(1.0, float(probe), float(probe), float(p),
-                                  float(floor), float(gap))
+                witness = _witness_from(1.0, probe, probe, p, floor)
     passed = witness is None
     metadata = {
         "tnorm": spec_label(spec),
@@ -537,11 +513,8 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     drops = d[:-1] - d[1:]
     mono_violation = float(np.maximum(drops, 0.0).max())
     mono_ok = mono_violation <= grid.strict_tol
-    mono_witness = None
-    if not mono_ok:
-        i = int(np.argmax(np.ravel(drops > grid.strict_tol)))
-        mono_witness = Witness(1.0, float(g[i]), float(g[i + 1]),
-                               float(d[i + 1]), float(d[i]), float(drops[i]))
+    mono_witness = _first_over(drops, grid.strict_tol, 1.0, g[:-1], g[1:],
+                               d[1:], d[:-1])
 
     probe = 1.0 - grid.step_h
     limit_estimate = diagonal(spec, probe)
@@ -561,9 +534,8 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     if not mono_ok:
         witness = mono_witness
     elif limit is None:
-        gap = float(min(limit_estimate, 1.0 - limit_estimate))
-        witness = Witness(1.0, probe, probe, float(limit_estimate),
-                          float(round(limit_estimate)), gap)
+        witness = _witness_from(1.0, probe, probe, limit_estimate,
+                                round(limit_estimate))
     max_residual = 0.0 if passed else float(witness.gap)
     metadata = {
         "tnorm": spec_label(spec),
@@ -591,18 +563,18 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
     a companion: T = min, F = x*y, F commutative, F(x, 1) = x.  The check
     passes when the truth vector is constant (all true or all false)."""
     g = grid.axis()
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    T = tnorm_values(spec, X, Y)
-    F = companion_values(canonical_f(spec), X, Y)
+    x, y = g[:, None], g[None, :]
+    T = tnorm_values(spec, x, y)
+    F = companion_values(canonical_f(spec), x, y)
     col = companion_values(canonical_f(spec), g, 1.0)
     tol = grid.strict_tol
 
     # statement -> (lhs table, rhs table, x coords, y coords)
     cases = {
-        "t_equals_min": (T, np.minimum(X, Y), X, Y),
-        "f_equals_xy": (F, X * Y, X, Y),
-        "f_commutative": (F, F.T, X, Y),
-        "f_right_neutral": (col, g, g, np.ones_like(g)),
+        "t_equals_min": (T, np.minimum(x, y), x, y),
+        "f_equals_xy": (F, x * y, x, y),
+        "f_commutative": (F, F.T, x, y),
+        "f_right_neutral": (col, g, g, 1.0),
     }
     deviations = {name: np.abs(lhs - rhs) for name, (lhs, rhs, _, _) in cases.items()}
     truth = {name: bool(dev.max() <= tol) for name, dev in deviations.items()}
@@ -615,9 +587,8 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
         # the first false statement explains the inconsistency
         name = next(name for name, ok in truth.items() if not ok)
         lhs, rhs, xs, ys = cases[name]
-        flat = int(np.argmax(np.ravel(deviations[name])))
-        witness = _witness_from(1.0, np.ravel(xs)[flat], np.ravel(ys)[flat],
-                                np.ravel(lhs)[flat], np.ravel(rhs)[flat])
+        witness = _witness_at(int(np.argmax(deviations[name])), 1.0, xs, ys,
+                              lhs, rhs)
         max_residual = witness.gap
 
     metadata = {
@@ -639,19 +610,18 @@ def _max_adjacent_jump(values: np.ndarray, g: np.ndarray,
     """Largest ``measure`` of the step between neighbouring cells of a table
     over ``g`` x ``g`` (later cell minus earlier), and a witness at the
     first such pair; x-neighbours win ties.  The witness gives the later
-    cell's coordinates, lhs = its value, rhs = the earlier cell's value and
-    gap = the measured step."""
+    cell's coordinates, lhs = its value and rhs = the earlier cell's value;
+    its gap is the measured step whenever that step is |lhs - rhs|, as it
+    is for every reported jump."""
     dx = measure(values[1:, :] - values[:-1, :])
     dy = measure(values[:, 1:] - values[:, :-1])
     mx = float(dx.max())
     my = float(dy.max())
     if mx >= my:
-        i, j = np.unravel_index(int(np.argmax(np.ravel(dx))), dx.shape)
-        return mx, Witness(1.0, float(g[i + 1]), float(g[j]),
-                           float(values[i + 1, j]), float(values[i, j]), mx)
-    i, j = np.unravel_index(int(np.argmax(np.ravel(dy))), dy.shape)
-    return my, Witness(1.0, float(g[i]), float(g[j + 1]),
-                       float(values[i, j + 1]), float(values[i, j]), my)
+        return mx, _witness_at(int(np.argmax(dx)), 1.0, g[1:, None], g[None, :],
+                               values[1:, :], values[:-1, :])
+    return my, _witness_at(int(np.argmax(dy)), 1.0, g[:, None], g[None, 1:],
+                           values[:, 1:], values[:, :-1])
 
 
 def check_continuity_equivalence(spec: TNormSpec,
@@ -772,6 +742,6 @@ def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
     g = grid.axis()
     flat_x = np.repeat(g, g.size).tolist()
     flat_y = np.tile(g, g.size).tolist()
-    for lam, lhs, rhs, res in _gph_slices(spec, comp, grid):
+    for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
         yield from zip(repeat(float(lam)), flat_x, flat_y, np.ravel(lhs).tolist(),
                        np.ravel(rhs).tolist(), np.ravel(res).tolist())

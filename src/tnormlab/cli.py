@@ -60,8 +60,6 @@ from .core import (
     parse_spec,
 )
 
-DEFAULT_SEED = 0xC0FFEE
-
 
 def _companion_from_args(args, spec: TNormSpec) -> Optional[CompanionF]:
     if args.f_expr:
@@ -77,7 +75,7 @@ def _grid_from_args(args) -> GridSpec:
     seed = args.seed
     if seed is None:
         env = os.environ.get("TNORMLAB_SEED")
-        seed = int(env, 0) if env else DEFAULT_SEED
+        seed = int(env, 0) if env else GridSpec.seed
     return GridSpec(points=args.points, eq_tol=args.tol,
                     strict_tol=args.strict_tol, samples=args.samples,
                     seed=seed, step_h=args.step_h)
@@ -245,20 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
                         const="catalog", help="alias for --f catalog")
 
     grid_p = argparse.ArgumentParser(add_help=False)
-    grid_p.add_argument("--points", type=int, default=101,
-                        help="grid resolution per axis (default 101)")
-    grid_p.add_argument("--tol", type=float, default=1e-9,
-                        help="equality tolerance for sweeps (default 1e-9)")
-    grid_p.add_argument("--strict-tol", type=float, default=1e-12,
+    grid_p.add_argument("--points", type=int, default=GridSpec.points,
+                        help="grid resolution per axis (default %(default)s)")
+    grid_p.add_argument("--tol", type=float, default=GridSpec.eq_tol,
+                        help="equality tolerance for sweeps"
+                             " (default %(default)s)")
+    grid_p.add_argument("--strict-tol", type=float, default=GridSpec.strict_tol,
                         help="tolerance for closed-form identities"
-                             " (default 1e-12)")
-    grid_p.add_argument("--samples", type=int, default=10_000,
-                        help="random triples per sweep (default 10000)")
+                             " (default %(default)s)")
+    grid_p.add_argument("--samples", type=int, default=GridSpec.samples,
+                        help="random triples per sweep (default %(default)s)")
     grid_p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                         help="PRNG seed (default: $TNORMLAB_SEED or"
-                             " 0xC0FFEE)")
-    grid_p.add_argument("--step-h", type=float, default=1e-6,
-                        help="one-sided probe distance for limit scans")
+                             f" 0x{GridSpec.seed:X})")
+    grid_p.add_argument("--step-h", type=float, default=GridSpec.step_h,
+                        help="one-sided probe distance for limit scans"
+                             " (default %(default)s)")
 
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("--json", action="store_true", help="JSON report")

@@ -393,13 +393,9 @@ def _expr_values(ast: Expression, x: np.ndarray, y: np.ndarray,
     values = np.asarray(eval_expr(ast, x, y), dtype=np.float64)
     bad = np.isnan(values) | (values < -CLAMP_SLACK) | (values > 1.0 + CLAMP_SLACK)
     if np.any(bad):
-        idx = int(np.argmax(np.ravel(bad)))
-        x, y = np.broadcast_arrays(x, y)
-        px = float(np.ravel(x)[idx])
-        py = float(np.ravel(y)[idx])
-        pv = float(np.ravel(values)[idx])
+        px, py = dsl._first_bad_point(bad, x, y)
         raise DomainError(f"{context} evaluates outside [0, 1] at "
-                          f"(x, y) = ({px}, {py}): {pv}")
+                          f"(x, y) = ({px}, {py}): {float(values[bad][0])}")
     return np.clip(values, 0.0, 1.0)
 
 

@@ -17,8 +17,7 @@ always explicit.  There is no lambda variable: scaling checks substitute
 the scale factor into ``x`` of a two-variable expression.
 
 ``serialize`` emits a fully parenthesized canonical form that reparses to
-a structurally identical tree while its parentheses nest within the
-parser's recursion limit.
+a structurally identical tree for every tree ``parse`` accepts.
 
 Evaluation follows IEEE-754 double semantics and is total except for three
 conditions, each reported as :class:`EvalError` naming the offending AST
@@ -246,9 +245,11 @@ class _Parser:
 
 
 #: tallest tree ``parse`` accepts, in nodes from the root to the deepest
-#: leaf.  Evaluation and serialization recurse once per level; 500 leaves
-#: room under the interpreter's default recursion limit of 1000.
-MAX_DEPTH = 500
+#: leaf.  Evaluation and serialization recurse once per level; the parser,
+#: reading the serialized form back, spends at most four frames per level
+#: (for "(-...)") and two for the other node kinds.  200 keeps that reparse
+#: well under the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 200
 
 
 def _height(node: Expression) -> int:

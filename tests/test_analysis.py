@@ -30,6 +30,7 @@ from tnormlab.core import (
     Minimum,
     Product,
     SchweizerSklar,
+    companion_values,
     eval_companion,
     eval_tnorm,
     tnorm_values,
@@ -267,6 +268,16 @@ def test_ph_catalog_kinds(grid):
         assert report.passed == strict, name
 
 
+def test_ph_boundary_gap_is_nonnegative_at_coarse_tolerance():
+    # F(x, 1) = x + 0.1 stays under eq_tol up to x = 0.1, where F exceeds x
+    report = check_pseudo_homogeneous(Expr("min(x*y+0.1*y,1)"),
+                                      GridSpec(points=11, eq_tol=0.2))
+    w = report.witness
+    assert not report.metadata["boundary_ok"]
+    assert (w.x, w.lhs, w.rhs) == (0.1, 0.2, 0.1)
+    assert report.max_residual == w.gap == abs(0.2 - 0.1)
+
+
 def test_ph_drastic_jump(grid):
     report = check_pseudo_homogeneous(Catalog(Drastic()), grid)
     assert not report.passed
@@ -491,3 +502,64 @@ def test_residual_rows_header_and_arity():
     assert len(rows) == 5 ** 3
     assert all(len(r) == 6 for r in rows)
     assert max(r[5] for r in rows) == 0.0
+
+
+# --------------------------------------------------------------------------
+# Witness replay: every reported witness names slots that give back its lhs
+# and rhs exactly, and its gap is |lhs - rhs|
+# --------------------------------------------------------------------------
+
+def _assert_replays(w, lhs, rhs):
+    assert (w.lhs, w.rhs) == (float(lhs), float(rhs))
+    assert w.gap == abs(w.lhs - w.rhs) > 0.0
+
+
+@pytest.mark.parametrize("source, axiom, sides", [
+    ("min(x,y)^2", "T4", lambda t, w: (t(w.x, w.y), w.x)),
+    ("x*y*(1-0.5*x*(1-y))", "T1", lambda t, w: (t(w.x, w.y), t(w.y, w.x))),
+    # (x; y, z) with y <= z, lhs the later value
+    ("min(x,y)*(1-0.2*x*y*(1-x)*(1-y))", "T3",
+     lambda t, w: (t(w.lam, w.y), t(w.lam, w.x))),
+    ("min(x,y)*max(x,y)^0.5", "T2",
+     lambda t, w: (t(w.lam, t(w.x, w.y)), t(t(w.lam, w.x), w.y))),
+], ids=["T4", "T1", "T3", "T2"])
+def test_axiom_witness_replays(source, axiom, sides):
+    spec = Expr(source)
+    report = check_axioms(spec, GridSpec(points=21))
+    assert report.metadata["failed_axiom"] == axiom
+    w = report.witness
+    _assert_replays(w, *sides(lambda x, y: tnorm_values(spec, x, y), w))
+
+
+def test_diagonal_monotonicity_witness_replays(grid):
+    spec = Expr("min(x,y)*(1.5-min(x,y)^2)*0.6")
+    report = scan_diagonal(spec, grid)
+    assert not report.metadata["monotone_ok"]
+    w = report.witness
+    assert w.x < w.y
+    _assert_replays(w, tnorm_values(spec, w.y, w.y), tnorm_values(spec, w.x, w.x))
+
+
+def test_gph_witness_replays(grid):
+    spec = ORDINAL_SUMS[2]
+    w = check_gph(spec, None, grid).witness
+    _assert_replays(w, tnorm_values(spec, w.lam * w.x, w.lam * w.y),
+                    companion_values(Canonical(spec), w.lam,
+                                     tnorm_values(spec, w.x, w.y)))
+
+
+def test_unit_scale_witness_replays(grid):
+    f = Expr("x*y*0.5")
+    w = check_unit_scale(f, grid).witness
+    assert (w.lam, w.x) == (1.0, 1.0)
+    _assert_replays(w, companion_values(f, w.x, w.y), w.y)
+
+
+def test_tm_equivalences_witness_replays(grid):
+    spec = Expr("min(x,y)^2")
+    report = check_tm_equivalences(spec, grid)
+    assert not report.passed
+    assert not report.metadata["statements"]["t_equals_min"]
+    w = report.witness
+    _assert_replays(w, tnorm_values(spec, w.x, w.y), min(w.x, w.y))
+    assert report.max_residual == w.gap

@@ -154,6 +154,27 @@ def test_tallest_accepted_chain_evaluates_and_serializes():
     assert spec_label(spec).count(" + ") == dsl.MAX_DEPTH - 2
 
 
+def _tree_of_height(wrap, height):
+    node = Var("x")
+    for _ in range(height - 1):
+        node = wrap(node)
+    return node
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda t: BinOp("+", t, Const(0.0)),   # ((x + 0.0) + 0.0) ...
+    lambda t: BinOp("+", Var("x"), t),     # (x + (x + ...))
+    Neg,                                   # (-(-...))
+    lambda t: Call("min", t, Var("y")),    # min(min(...), y)
+    lambda t: BinOp("^", Var("x"), t),     # (x ^ (x ^ ...))
+], ids=["plus-chain", "paren-chain", "neg-chain", "min-nest", "pow-chain"])
+def test_tallest_accepted_tree_reparses_from_its_serialization(wrap):
+    tree = _tree_of_height(wrap, dsl.MAX_DEPTH)
+    assert dsl.parse(dsl.serialize(tree)) == tree
+    with pytest.raises(ParseError):
+        dsl.parse(dsl.serialize(_tree_of_height(wrap, dsl.MAX_DEPTH + 1)))
+
+
 def test_implicit_multiplication_rejected():
     with pytest.raises(ParseError):
         dsl.parse("xy")
