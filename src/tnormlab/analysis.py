@@ -422,44 +422,90 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
 # Archimedean limit property
 # --------------------------------------------------------------------------
 
+#: a power counts as below the floor only when it is below
+#: floor * (1 - _FLOOR_TIE).  Doubling rounds differently from the
+#: sequential recursion, so a power whose exact value is within a few ulps
+#: of the floor (a tie on the power lattice: ss:-1 at 0.9 reaches exactly
+#: 1e-3 at n = 8991 up to the rounding of 0.9) must not be counted as below
+#: it one step early.
+_FLOOR_TIE = 1e-15
+
+
 def check_archimedean(spec: TNormSpec,
                       x_probe: Sequence[float] = (0.5, 0.9, 0.99),
-                      n_max: int = 10_000,
+                      n_max: int = 2**53,
                       floor: float = 1e-3) -> Report:
-    """Limit property: iterated self-composition of each probe must fall
-    below ``floor`` within ``n_max`` steps.  A power that stops decreasing
-    (an idempotent trap) fails immediately."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    """Limit property: the powers x^(n) of each probe must fall below
+    ``floor`` for some n <= ``n_max``; ``minimal_n`` is the least such n.
+
+    Powers are found in O(log n_max) vectorized T calls over all probes at
+    once, by associativity x^(m+n) = T(x^(m), x^(n)):
+
+    1. a doubling table x^(1), x^(2), x^(4), ... (one call per level),
+       stopped once every probe is below the floor or has stalled, or the
+       next power of two would exceed ``n_max``.  A probe stalls when
+       T(p, p) >= p for a table entry p, an idempotent trap: its powers
+       are constant from there on and it fails;
+    2. a binary descent over the table, from x^(0) = 1 (T(1, y) = y), to
+       the largest m < ``n_max`` with x^(m) not below the floor (one call
+       per level);
+    3. ``minimal_n`` is m + 1 when x^(m+1) reads below the floor.  The
+       descent computed it already if it rejected any candidate as below
+       (the last one rejected sits at m + 1); one final call
+       T(x^(m), x) covers the others, m + 1 = n_max among them.  Far out
+       consecutive powers differ by less than an ulp, and the two
+       roundings of x^(m+1) may disagree: either one below counts.
+
+    That is at most 2 * n_max.bit_length() calls.  The default
+    ``n_max = 2**53`` is the largest index a JSON double holds exactly.
+    A power counts as below only when it is below floor * (1 - 1e-15), so
+    an exact power a few ulps from the floor reads as not below; a power
+    within that margin under the floor gives minimal_n one above its exact
+    value.  Resolution limit: at floor 1e-3, ss:b with b at about -4.9 or
+    below needs n > 2**53 at probe 0.99, which then fails with ``None``.
+    """
+    if not 1 <= n_max <= 2**53:
+        raise ValueError("n_max must lie in [1, 2**53]")
     if not (0.0 < floor < 1.0):
         raise ValueError("floor must lie in (0, 1)")
-    minimal_n: dict[str, Optional[int]] = {}
-    witness = None
-    max_residual = 0.0
     for probe in x_probe:
         if not (0.0 < probe < 1.0):
             raise ValueError(f"probes must lie in (0, 1), got {probe}")
-        p = probe
-        n = 1
-        reached = p < floor
-        while not reached and n < n_max:
-            nxt = eval_tnorm(spec, probe, p)
-            n += 1
-            if nxt < floor:
-                reached = True
-                p = nxt
-                break
-            if nxt >= p:  # stalled: the power sequence is constant from here
-                p = nxt
-                n = None
-                break
-            p = nxt
-        minimal_n[_format_param(probe)] = n if reached else None
-        if not reached:  # here p >= floor
-            max_residual = max(max_residual, p - floor)
-            if witness is None:
-                witness = _witness_from(1.0, probe, probe, p, floor)
-    passed = witness is None
+    x = np.asarray(x_probe, dtype=np.float64)
+    below = floor * (1.0 - _FLOOR_TIE)
+
+    table = [x]  # table[k] = x^(2^k)
+    done = x < below
+    while not done.all() and 2 ** len(table) <= n_max:
+        p = table[-1]
+        table.append(tnorm_values(spec, p, p))
+        done |= (table[-1] < below) | (table[-1] >= p)
+
+    m = np.zeros_like(x)  # exact in float64: m < n_max <= 2**53
+    power = np.ones_like(x)  # x^(m)
+    hit = np.zeros(x.shape, dtype=bool)  # a candidate x^(m+step) read below
+    for k in reversed(range(len(table))):
+        step = 1 << k
+        cand = np.where(m == 0, table[k], tnorm_values(spec, power, table[k]))
+        valid = m < n_max - step
+        take = valid & (cand >= below)
+        hit |= valid & ~take
+        m = np.where(take, m + step, m)
+        power = np.where(take, cand, power)
+    last = np.where(m == 0, x, tnorm_values(spec, power, x))  # x^(m+1)
+    reached = hit | (last < below)
+    lowest = np.minimum(np.minimum.reduce(table), last)
+
+    minimal_n: dict[str, Optional[int]] = {
+        _format_param(probe): int(n) + 1 if ok else None
+        for probe, n, ok in zip(x_probe, m, reached)}
+    failing = np.flatnonzero(~reached)
+    witness = None
+    max_residual = 0.0
+    if failing.size:
+        i = failing[0]
+        witness = _witness_from(1.0, x[i], x[i], lowest[i], floor)
+        max_residual = float(np.max(np.abs(lowest[failing] - floor)))
     metadata = {
         "tnorm": spec_label(spec),
         "n_max": n_max,
@@ -467,7 +513,8 @@ def check_archimedean(spec: TNormSpec,
         "minimal_n": minimal_n,
         "witness_slots": "x = probe, lhs = smallest power reached, rhs = floor",
     }
-    return Report("archimedean", passed, max_residual, witness, metadata)
+    return Report("archimedean", witness is None, max_residual, witness,
+                  metadata)
 
 
 # --------------------------------------------------------------------------

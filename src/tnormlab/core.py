@@ -483,7 +483,11 @@ def diagonal_pseudo_inverse(spec: TNormSpec, y: float, tol: float) -> float:
             " is defined only for monotone diagonals")
     if float(ds[-1]) <= yv:
         return 1.0
-    return _bisect_diagonal(spec, yv, 0.0, 1.0, tol)
+    # the sampled cell where the diagonal first exceeds y: bisection of
+    # [0, 1] reaches this dyadic cell after 7 halvings (k = 0 only if
+    # T(0, 0) > y, which no t-norm has)
+    k = max(int(np.argmax(ds > yv)), 1)
+    return _bisect_diagonal(spec, yv, float(zs[k - 1]), float(zs[k]), tol)
 
 
 def _bisect_diagonal(spec: TNormSpec, level: float, lo: float, hi: float,

@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from tnormlab.core import (
     companion_values,
     eval_companion,
     eval_tnorm,
+    parse_spec,
     tnorm_values,
 )
 
@@ -330,15 +332,108 @@ def closed_form_minimal_n(beta, x, floor, n_max):
                                         (-0.5, 1e-3), (-1.0, 1e-3),
                                         (-2.0, 0.0501)])
 def test_archimedean_exponent_family_matches_closed_form(beta, floor):
-    # beta = -2 decays like n^(-1/2): reaching 1e-3 needs ~4.3e6 steps, so
-    # its floor is relaxed (and kept off the exact power lattice of 0.9);
-    # the others reach 1e-3 within the default cap.
+    # beta = -2 decays like n^(-1/2): reaching 1e-3 needs ~4.3e6 steps, more
+    # than the 10,000 the sequential closed form scans, so its floor is
+    # relaxed (and kept off the exact power lattice of 0.9); the others
+    # reach 1e-3 within 10,000 steps.
     expected = closed_form_minimal_n(beta, 0.9, floor, 10_000)
     assert expected is not None
     report = check_archimedean(SchweizerSklar(beta), x_probe=(0.9,),
                                floor=floor)
     assert report.passed
     assert report.metadata["minimal_n"]["0.9"] == expected
+
+
+def exact_minimal_n(beta, x, floor):
+    # least n with x^(n) < floor for the exponent family (beta = 0: the
+    # product), in 60-digit decimal on the exact binary x and floor:
+    # x^(n) < floor  <=>  n > (1 - floor^b) / (1 - x^b), or ln(floor)/ln(x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xd, fd = Decimal(x), Decimal(floor)
+        if beta == 0:
+            bound = fd.ln() / xd.ln()
+        else:
+            b = Decimal(beta)
+            bound = (1 - fd ** b) / (1 - xd ** b)
+        return int(bound.to_integral_value(rounding=ROUND_FLOOR)) + 1
+
+
+#: sub-ulp ties: x^(n) at the exact n is about 0.1 ulp under the binary
+#: 1e-3, which the tie rule reads as not below, so the count is one above.
+EXACT_OR_NEXT = {("ss:-1", 0.5), ("ss:-2", 0.5)}
+
+
+@pytest.mark.parametrize("token,beta", [
+    ("prod", 0), ("luk", 1), ("ss:0.5", 0.5), ("ss:-0.5", -0.5),
+    ("ss:-1", -1), ("ss:-2", -2), ("ss:2", 2), ("ss:3", 3)])
+def test_archimedean_matches_exact_decimal_count(token, beta):
+    report = check_archimedean(parse_spec(token))
+    assert report.passed
+    for probe in (0.5, 0.9, 0.99):
+        exact = exact_minimal_n(beta, probe, 1e-3)
+        got = report.metadata["minimal_n"][str(probe)]
+        if (token, probe) in EXACT_OR_NEXT:
+            assert got in (exact, exact + 1), (probe, got, exact)
+        else:
+            assert got == exact, (probe, got, exact)
+
+
+@pytest.mark.parametrize("spec", [SchweizerSklar(-1.0), SchweizerSklar(-2.0),
+                                  Expr("x*y/max(x+y-x*y,1e-300)")],
+                         ids=["ss:-1", "ss:-2", "hamacher"])
+def test_archimedean_defaults_reach_slow_decays(spec):
+    # powers of these decay like n^(1/b): ss:-2 at 0.99 needs n = 49,251,208
+    report = check_archimedean(spec)
+    assert report.passed
+    assert report.witness is None
+    assert report.metadata["n_max"] == 2**53
+
+
+def test_archimedean_counts_where_powers_are_within_an_ulp():
+    # ss:-4.8 at 0.99 needs n ~ 5.1e15: there x^(n) and x^(n+1) differ by
+    # less than an ulp, so only the count's relative accuracy is defined
+    report = check_archimedean(SchweizerSklar(-4.8))
+    assert report.passed
+    for probe in (0.5, 0.9, 0.99):
+        assert report.metadata["minimal_n"][str(probe)] == pytest.approx(
+            exact_minimal_n(-4.8, probe, 1e-3), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,n_max", [
+    (SchweizerSklar(-2.0), 2**53), (Minimum(), 2**53), (Product(), 2**53),
+    (SchweizerSklar(-1.0), 10_000), (CShelf(0.75), 7)])
+def test_archimedean_calls_are_logarithmic(monkeypatch, spec, n_max):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return tnorm_values(*args)
+
+    monkeypatch.setattr(an, "tnorm_values", counting)
+    check_archimedean(spec, n_max=n_max)
+    assert 0 < len(calls) <= 2 * n_max.bit_length() + 2
+
+
+def test_archimedean_cap_is_exact():
+    capped = check_archimedean(SchweizerSklar(-1.0), x_probe=(0.9,),
+                               n_max=8991)
+    assert not capped.passed
+    assert capped.metadata["minimal_n"]["0.9"] is None
+    # x^(8991) is the floor up to rounding: the tie the cap must not pass
+    assert capped.witness.x == 0.9
+    assert capped.witness.lhs == pytest.approx(1e-3, rel=1e-14)
+    reached = check_archimedean(SchweizerSklar(-1.0), x_probe=(0.9,),
+                                n_max=8992)
+    assert reached.passed
+    assert reached.metadata["minimal_n"]["0.9"] == 8992
+
+
+def test_archimedean_rejects_bad_arguments():
+    for kwargs in ({"n_max": 0}, {"n_max": 2**53 + 1}, {"floor": 1.0},
+                   {"x_probe": (1.0,)}):
+        with pytest.raises(ValueError):
+            check_archimedean(Product(), **kwargs)
 
 
 # --------------------------------------------------------------------------

@@ -266,6 +266,15 @@ def test_pseudo_inverse_ss_positive_against_oracle():
     assert abs(diagonal(SchweizerSklar(2), r) - 0.45) <= 1e-10
 
 
+@pytest.mark.parametrize("name,spec,_", FAMILY_MATRIX, ids=MATRIX_IDS)
+def test_pseudo_inverse_sampled_bracket_matches_full_bisection(name, spec, _):
+    # the reference: bisection of the whole [0, 1]
+    for y in (0.0, 1e-6, 0.01, 0.25, 0.45, 0.5, 0.9, 0.999):
+        for tol in (1e-12, 1e-9, 1e-6):
+            assert diagonal_pseudo_inverse(spec, y, tol) == \
+                core._bisect_diagonal(spec, y, 0.0, 1.0, tol), (y, tol)
+
+
 def test_pseudo_inverse_full_range():
     assert diagonal_pseudo_inverse(Product(), 1.0, 1e-12) == 1.0
 
