@@ -13,12 +13,15 @@ against the exact family member on a validation lattice offset from the
 decision grid, so a parametric family is never returned with validation
 residual above eq_tol.
 
-The exponent fit solves, per sample (x, y, t = T(x, y)), the scalar root
-problem x^b + y^b - 1 - t^b = 0 by sign bracketing over
-[-60, -1e-3] u [1e-3, 60] and bisection (b = 0 is always a root and is
-excluded; beyond |b| = 60 the family is numerically indistinguishable from
-min on binary64 grids).  The estimate is the median of per-sample roots,
-which ignores the few samples that land near the max{., 0} fold.
+The exponent fit solves, per sample (x, y, t = T(x, y)), the root problem
+x^b + y^b - 1 - t^b = 0 over [-60, -1e-3] u [1e-3, 60] (b = 0 is always a
+root and is excluded; beyond |b| = 60 the family is numerically
+indistinguishable from min on binary64 grids), for all samples at once:
+one table of the equation over a geometric ladder of 48 rungs a side, one
+comparison that finds every sign change between neighbouring rungs, and one
+bisection loop over all brackets together.  The estimate is the median of
+per-sample roots, which ignores the few samples that land near the
+max{., 0} fold.
 """
 
 from __future__ import annotations
@@ -97,98 +100,93 @@ class ClassificationResult:
 # Exponent fit
 # --------------------------------------------------------------------------
 
-def _h(beta: float, x: float, y: float, t: float) -> float:
+def _h(beta, x, y, t):
     """x^b + y^b - 1 - t^b, rescaled by t^b on the negative side so that no
-    term can overflow (t <= min(x, y) keeps every ratio power in (0, 1])."""
-    if beta > 0.0:
-        return x**beta + y**beta - 1.0 - t**beta
-    return (x / t) ** beta + (y / t) ** beta - t ** (-beta) - 1.0
-
-
-def _bisect_root(x: float, y: float, t: float, lo: float, hi: float,
-                 f_lo: float, f_hi: float) -> float:
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = _h(mid, x, y, t)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _sample_roots(x: float, y: float, t: float) -> list[float]:
-    """All bracketed roots of the per-sample equation, both signs."""
-    lo, hi = BETA_BRACKET
-    ladder = np.geomspace(lo, hi, _LADDER_POINTS)
-    roots = []
-    for side in (1.0, -1.0):
-        betas = side * ladder
-        values = [_h(float(b), x, y, t) for b in betas]
-        for i in range(len(betas) - 1):
-            a, b = float(betas[i]), float(betas[i + 1])
-            fa, fb = values[i], values[i + 1]
-            if fa == 0.0 or (fa < 0.0) != (fb < 0.0):
-                if a > b:
-                    a, b, fa, fb = b, a, fb, fa
-                roots.append(_bisect_root(x, y, t, a, b, fa, fb))
-        if values[-1] == 0.0:
-            roots.append(float(betas[-1]))
-    return roots
+    term can overflow (t <= min(x, y) keeps every ratio power in (0, 1]).
+    Broadcasts; x / 1 is x exactly, so each side keeps its own formula."""
+    pos = beta > 0.0
+    base = np.where(pos, 1.0, t)
+    powers = (x / base) ** beta + (y / base) ** beta
+    t_abs = t ** np.abs(beta)
+    return np.where(pos, powers - 1.0 - t_abs, powers - t_abs - 1.0)
 
 
 def fit_beta_from_triples(triples: np.ndarray,
                           max_missing_fraction: float = 0.2) -> float:
     """Median per-sample root over (x, y, t) rows.
 
+    The equation is tabled over the ladder for all rows at once.  Column j
+    brackets a root when h is exactly 0 there or changes sign towards the
+    next rung of its side; a side's last rung brackets only its own exact
+    zero.  Every bracket is oriented lo < hi with the sign taken at lo and
+    bisected together with all others; it stops at an exact zero (lo, then
+    hi, then the midpoint) or at width ``_BISECT_TOL`` and yields its
+    midpoint.  A row's root is the one with the smallest |h|; a tie goes to
+    the first in scan order, the + side before the - side, |b| ascending.
+
     Raises :class:`FitError` when more than ``max_missing_fraction`` of the
     samples bracket no root at all.
     """
-    triples = np.asarray(triples, dtype=np.float64)
-    per_sample = []
-    missing = 0
-    for x, y, t in triples:
-        roots = _sample_roots(float(x), float(y), float(t))
-        if not roots:
-            missing += 1
-            continue
-        # the root at which the equation is satisfied best
-        per_sample.append(min(roots, key=lambda b: abs(_h(b, float(x), float(y),
-                                                          float(t)))))
-    if missing > max_missing_fraction * len(triples) or not per_sample:
+    x, y, t = np.asarray(triples, dtype=np.float64).reshape(-1, 3).T
+    ladder = np.geomspace(*BETA_BRACKET, _LADDER_POINTS)
+    betas = np.concatenate([ladder, -ladder])
+    partner = np.arange(1, betas.size + 1)
+    partner[_LADDER_POINTS - 1::_LADDER_POINTS] -= 1
+    table = _h(betas, x[:, None], y[:, None], t[:, None])
+    bracket = (table == 0.0) | ((table < 0.0) != (table[:, partner] < 0.0))
+
+    rows, cols = np.nonzero(bracket)
+    x, y, t = x[rows], y[rows], t[rows]
+    swap = cols >= _LADDER_POINTS  # the - side runs downwards
+    lo_col = np.where(swap, partner[cols], cols)
+    hi_col = np.where(swap, cols, partner[cols])
+    lo, hi = betas[lo_col], betas[hi_col]
+    f_lo, f_hi = table[rows, lo_col], table[rows, hi_col]
+    exits = np.where(f_lo == 0.0, lo, hi)
+    bisected = live = (f_lo != 0.0) & (f_hi != 0.0)
+    # an exact zero at the midpoint closes its bracket onto the midpoint
+    while (live := live & (hi - lo > _BISECT_TOL)).any():
+        mid = 0.5 * (lo + hi)
+        f_mid = _h(mid, x, y, t)
+        left = (f_lo < 0.0) != (f_mid < 0.0)
+        exact = f_mid == 0.0
+        hi = np.where(live & (left | exact), mid, hi)
+        lo = np.where(live & (~left | exact), mid, lo)
+        f_lo = np.where(live & ~left, f_mid, f_lo)
+    roots = np.where(bisected, 0.5 * (lo + hi), exits)
+
+    # the root at which each row's equation is satisfied best
+    score = np.full(table.shape, np.inf)
+    score[rows, cols] = np.abs(_h(roots, x, y, t))
+    table[rows, cols] = roots  # a bracket's cell now holds its root
+    found = np.flatnonzero(bracket.any(axis=1))
+    per_sample = table[found, score[found].argmin(axis=1)]
+    missing = len(table) - len(found)
+    if missing > max_missing_fraction * len(table) or not len(found):
         raise FitError(
-            f"no exponent bracket for {missing} of {len(triples)} samples")
+            f"no exponent bracket for {missing} of {len(table)} samples")
     return float(np.median(per_sample))
 
 
 def _draw_fit_samples(spec: TNormSpec, grid: GridSpec) -> np.ndarray:
     """Seeded (x, y, t) rows with t interior and off the product surface."""
     rng = SplitMix64(grid.seed)
-    rows = []
-    drawn = 0
-    while len(rows) < _TARGET_SAMPLES and drawn < _MAX_DRAWS:
-        batch = rng.unit_tuples(256, 2)
+    batches = []
+    kept = drawn = 0
+    while kept < _TARGET_SAMPLES and drawn < _MAX_DRAWS:
+        x, y = rng.unit_tuples(256, 2).T
         drawn += 256
-        x = batch[:, 0]
-        y = batch[:, 1]
         t = tnorm_values(spec, x, y)
         keep = ((t > 0.0) & (t < 1.0) & (x > 0.0) & (x < 1.0)
                 & (y > 0.0) & (y < 1.0) & (np.abs(t - x * y) > PRODUCT_GUARD))
-        for i in np.nonzero(keep)[0]:
-            rows.append((float(x[i]), float(y[i]), float(t[i])))
-            if len(rows) >= _TARGET_SAMPLES:
-                break
+        batches.append(np.stack([x, y, t], axis=1)[keep])
+        kept += len(batches[-1])
+    rows = np.concatenate(batches)[:_TARGET_SAMPLES]
     if len(rows) < _MIN_SAMPLES:
         raise FitError(
             f"only {len(rows)} informative samples in {drawn} draws; need"
             f" {_MIN_SAMPLES}")
-    return np.asarray(rows)
+    return rows
 
 
 def _validation_residual(spec: TNormSpec, candidate: TNormSpec,

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from tnormlab.analysis import GridSpec
 from tnormlab.classify import (
     FitError,
     PreconditionError,
+    _draw_fit_samples,
     classify,
     fit_beta,
     fit_beta_from_triples,
@@ -16,6 +18,7 @@ from tnormlab.core import (
     Minimum,
     Product,
     SchweizerSklar,
+    parse_spec,
     tnorm_values,
 )
 from tnormlab.rng import SplitMix64
@@ -86,6 +89,46 @@ def test_fit_rejects_uninformative_triples():
         rows.append((x, y, min(x, y)))
     with pytest.raises(FitError):
         fit_beta_from_triples(np.asarray(rows))
+
+
+def single_row_fits(rows):
+    """The fit of each row on its own; None where the row brackets no root."""
+    fits = []
+    for row in rows:
+        try:
+            fits.append(fit_beta_from_triples(row[None, :]))
+        except FitError:
+            fits.append(None)
+    return fits
+
+
+@pytest.mark.parametrize("token", ["ss:2", "ss:-1", "osum:[0.5,1,prod]",
+                                   "osum:[0.2,0.6,luk;0.6,1,prod]"])
+def test_fit_rows_do_not_affect_each_other(token):
+    # the batch fit is the median of the one-row fits of the rows that
+    # bracket a root: no row's brackets or choice leak into another's
+    rows = _draw_fit_samples(parse_spec(token), GridSpec())
+    alone = [b for b in single_row_fits(rows) if b is not None]
+    assert len(alone) >= 0.8 * len(rows)
+    assert fit_beta_from_triples(rows) == float(np.median(alone))
+
+
+def test_fit_missing_fraction_boundary():
+    good = sample_triples(SchweizerSklar(2.0), 40)
+    # min-shaped rows mostly bracket nothing; keep only those that fail alone
+    rng = SplitMix64(3)
+    candidates = []
+    for _ in range(80):
+        x, y = sorted(rng.unit_tuples(1, 2)[0])
+        candidates.append((x, y, x))
+    candidates = np.asarray(candidates)
+    rootless = candidates[[b is None for b in single_row_fits(candidates)]]
+    assert len(rootless) >= 11
+    # 10 of 50 rows is exactly the default 20%
+    assert fit_beta_from_triples(np.vstack([good, rootless[:10]])) == \
+        fit_beta_from_triples(good)
+    with pytest.raises(FitError, match="no exponent bracket for 11 of 51"):
+        fit_beta_from_triples(np.vstack([good, rootless[:11]]))
 
 
 # --------------------------------------------------------------------------
