@@ -64,14 +64,14 @@ def run_member(spec, grid):
     t0 = time.perf_counter()
     # the catalog companion is the intrinsic T(x, x*y) behind a kind guard,
     # so one sweep gives both residuals
-    gph = check_gph(spec, Catalog(spec), grid)
+    companion = Catalog(spec)
+    gph = check_gph(spec, companion, grid)
     row = {
         "tnorm": spec_label(spec),
         "axioms": check_axioms(spec, grid).passed,
         "catalog_residual": gph.max_residual,
         "intrinsic_residual": gph.max_residual,
-        "strict_regularity": check_pseudo_homogeneous(Catalog(spec),
-                                                      grid).passed,
+        "strict_regularity": check_pseudo_homogeneous(companion, grid).passed,
         "diagonal_limit": scan_diagonal(spec, grid).metadata["limit"],
         "tm_equivalences": check_tm_equivalences(spec, grid).passed,
         "continuity_equivalence": check_continuity_equivalence(spec,
@@ -97,9 +97,9 @@ def run_ordinal_sum(spec, grid):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--points", type=int, default=101)
-    parser.add_argument("--samples", type=int, default=10_000)
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
+    parser.add_argument("--points", type=int, default=GridSpec.points)
+    parser.add_argument("--samples", type=int, default=GridSpec.samples)
+    parser.add_argument("--seed", type=lambda s: int(s, 0), default=GridSpec.seed)
     parser.add_argument("--json", metavar="PATH",
                         help="also dump the full results as JSON")
     args = parser.parse_args(argv)

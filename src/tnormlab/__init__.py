@@ -26,7 +26,6 @@ from .classify import (
     FitError,
     PreconditionError,
     classify,
-    fit_beta,
 )
 from .core import (
     Canonical,
@@ -62,7 +61,6 @@ __all__ = [
     "check_tm_equivalences", "check_unit_scale", "find_gph_counterexample",
     "reconstruct_t_from_f", "scan_diagonal",
     "ClassificationResult", "FitError", "PreconditionError", "classify",
-    "fit_beta",
     "Canonical", "Catalog", "CompanionF", "CShelf", "Diagonal", "DomainError", "Drastic",
     "Expr", "Lukasiewicz", "Minimum", "OrdinalSum", "Product",
     "SchweizerSklar", "StructuralError", "Summand", "TNormSpec",

@@ -12,8 +12,8 @@ F(l, T(x, y)); checks that probe pairs rather than triples set ``lam`` to
 1 and document the slot meaning in the report metadata.  Every witness
 has gap = |lhs - rhs|.  Staged checks (the axioms, the diagonal's
 monotonicity) report the first violation in scan order; sweeps (the
-scaling equation, grid jumps, the minimum equivalences) report the first
-maximal one.
+scaling equation and its l = 1 line, grid jumps, the minimum equivalences,
+the targeted counterexample probes) report the first maximal one.
 
 Continuity cannot be decided from finitely many samples.  The two checks
 that talk about it use a grid-jump surrogate (adjacent values differing by
@@ -40,7 +40,6 @@ from .core import (
     companion_values,
     diagonal,
     diagonal_values,
-    eval_tnorm,
     spec_label,
     tnorm_values,
 )
@@ -177,6 +176,18 @@ def _first_over(res: np.ndarray, tol: float, *slots) -> Optional[Witness]:
     return _witness_at(i, *slots) if over.flat[i] else None
 
 
+def _first_max(pieces) -> tuple[float, Witness]:
+    """The largest residual over ``pieces`` of (residual, lam, x, y, lhs,
+    rhs) and the witness at its first occurrence: pieces in order, entries
+    in C order, and a later piece wins only with a strictly larger value."""
+    best = None
+    for res, *slots in pieces:
+        i = int(np.argmax(res))
+        if best is None or res.flat[i] > best:
+            best, witness = float(res.flat[i]), _witness_at(i, *slots)
+    return best, witness
+
+
 def canonical_f(spec: TNormSpec) -> Canonical:
     """The companion every t-norm determines: F(x, y) = T(x, x*y)."""
     return Canonical(spec)
@@ -215,7 +226,7 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
     tol = grid.strict_tol
     x, y = g[:, None], g[None, :]
     T_xy = tnorm_values(spec, x, y)
-    col = tnorm_values(spec, g, 1.0)
+    col = T_xy[:, -1]  # T(g, 1): the axis ends at exactly 1.0
 
     if assoc_full or grid.points <= ASSOC_GRID_CAP:
         axis = g
@@ -315,14 +326,7 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
             rhs = companion_values(comp, lam, tnorm_values(spec, x, y))
             yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
 
-    best_gap = -1.0
-    best = None
-    for res, *slots in pieces():
-        m = float(res.max())
-        if m > best_gap:
-            best = _witness_at(int(np.argmax(res)), *slots)
-            best_gap = m
-
+    best_gap, best = _first_max(pieces())
     passed = best_gap <= grid.eq_tol
     metadata = {
         "tnorm": spec_label(spec),
@@ -342,12 +346,9 @@ def check_unit_scale(f: CompanionF, grid: GridSpec = GridSpec()) -> Report:
     cannot satisfy the full equation."""
     g = grid.axis()
     vals = companion_values(f, 1.0, g)
-    res = np.abs(vals - g)
-    m = float(res.max())
+    m, witness = _first_max([(np.abs(vals - g), 1.0, 1.0, g, vals, g)])
     passed = m <= grid.eq_tol
-    witness = (None if passed
-               else _witness_at(int(np.argmax(res)), 1.0, 1.0, g, vals, g))
-    return Report("unit_scale", passed, m, witness, {
+    return Report("unit_scale", passed, m, None if passed else witness, {
         "companion": companion_label(f),
         "points": grid.points,
         "eq_tol": grid.eq_tol,
@@ -377,8 +378,8 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
         F, g, lambda step: np.maximum(-step, 0.0))
     inc_ok = inc_violation <= tol
 
-    # (b) F(x, 1) = 0 iff x = 0
-    col = companion_values(f, g, 1.0)
+    # (b) F(x, 1) = 0 iff x = 0; F(g, 1) is the last column of F
+    col = F[:, -1]
     zero_ok = float(col[0]) <= tol
     vanishing = (g > 0.0) & (col <= tol)
     boundary_ok = zero_ok and not bool(np.any(vanishing))
@@ -613,7 +614,6 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
     x, y = g[:, None], g[None, :]
     T = tnorm_values(spec, x, y)
     F = companion_values(canonical_f(spec), x, y)
-    col = companion_values(canonical_f(spec), g, 1.0)
     tol = grid.strict_tol
 
     # statement -> (lhs table, rhs table, x coords, y coords)
@@ -621,7 +621,7 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
         "t_equals_min": (T, np.minimum(x, y), x, y),
         "f_equals_xy": (F, x * y, x, y),
         "f_commutative": (F, F.T, x, y),
-        "f_right_neutral": (col, g, g, 1.0),
+        "f_right_neutral": (F[:, -1], g, g, 1.0),
     }
     deviations = {name: np.abs(lhs - rhs) for name, (lhs, rhs, _, _) in cases.items()}
     truth = {name: bool(dev.max() <= tol) for name, dev in deviations.items()}
@@ -634,9 +634,8 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
         # the first false statement explains the inconsistency
         name = next(name for name, ok in truth.items() if not ok)
         lhs, rhs, xs, ys = cases[name]
-        witness = _witness_at(int(np.argmax(deviations[name])), 1.0, xs, ys,
-                              lhs, rhs)
-        max_residual = witness.gap
+        max_residual, witness = _first_max(
+            [(deviations[name], 1.0, xs, ys, lhs, rhs)])
 
     metadata = {
         "tnorm": spec_label(spec),
@@ -656,19 +655,16 @@ def _max_adjacent_jump(values: np.ndarray, g: np.ndarray,
                        measure=np.abs) -> tuple[float, Witness]:
     """Largest ``measure`` of the step between neighbouring cells of a table
     over ``g`` x ``g`` (later cell minus earlier), and a witness at the
-    first such pair; x-neighbours win ties.  The witness gives the later
-    cell's coordinates, lhs = its value and rhs = the earlier cell's value;
-    its gap is the measured step whenever that step is |lhs - rhs|, as it
-    is for every reported jump."""
-    dx = measure(values[1:, :] - values[:-1, :])
-    dy = measure(values[:, 1:] - values[:, :-1])
-    mx = float(dx.max())
-    my = float(dy.max())
-    if mx >= my:
-        return mx, _witness_at(int(np.argmax(dx)), 1.0, g[1:, None], g[None, :],
-                               values[1:, :], values[:-1, :])
-    return my, _witness_at(int(np.argmax(dy)), 1.0, g[:, None], g[None, 1:],
-                           values[:, 1:], values[:, :-1])
+    first such pair, x-neighbours scanned before y-neighbours (so they win
+    ties).  The witness gives the later cell's coordinates, lhs = its value
+    and rhs = the earlier cell's value; its gap is the measured step
+    whenever that step is |lhs - rhs|, as it is for every reported jump."""
+    return _first_max([
+        (measure(values[1:, :] - values[:-1, :]), 1.0, g[1:, None], g[None, :],
+         values[1:, :], values[:-1, :]),
+        (measure(values[:, 1:] - values[:, :-1]), 1.0, g[:, None], g[None, 1:],
+         values[:, 1:], values[:, :-1]),
+    ])
 
 
 def check_continuity_equivalence(spec: TNormSpec,
@@ -739,22 +735,21 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
 
     targeted = []
     best = None
-    best_case = None
-    for case, lam, x, y in probes:
-        lhs = eval_tnorm(spec, lam * x, lam * y)
-        t = eval_tnorm(spec, x, y)
-        rhs = eval_tnorm(spec, lam, lam * t)
-        w = _witness_from(lam, x, y, lhs, rhs)
-        targeted.append({"case": case, "lambda": w.lam, "x": w.x, "y": w.y,
-                         "gap": w.gap})
-        if best is None or w.gap > best.gap:
-            best = w
-            best_case = case
+    if probes:
+        cases = [case for case, *_ in probes]
+        lam, x, y = np.asarray([p[1:] for p in probes]).T
+        lhs = tnorm_values(spec, lam * x, lam * y)
+        rhs = tnorm_values(spec, lam, lam * tnorm_values(spec, x, y))
+        gap = np.abs(lhs - rhs)
+        rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
+        targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
+                    for row in rows]
+        _, best = _first_max([(gap, lam, x, y, lhs, rhs)])
 
     if best is not None and best.gap > grid.eq_tol:
         witness = best
         max_residual = best.gap
-        source = best_case
+        source = next(p["case"] for p in targeted if p["gap"] == best.gap)
     else:
         witness = sweep.witness
         max_residual = sweep.max_residual

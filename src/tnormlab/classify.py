@@ -43,7 +43,6 @@ from .core import (
     SchweizerSklar,
     TNormSpec,
     _bisect_diagonal,
-    diagonal_values,
     spec_label,
     tnorm_values,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ClassificationResult",
     "BETA_BRACKET",
     "classify",
-    "fit_beta",
     "fit_beta_from_triples",
 ]
 
@@ -124,10 +122,14 @@ def fit_beta_from_triples(triples: np.ndarray,
     midpoint.  A row's root is the one with the smallest |h|; a tie goes to
     the first in scan order, the + side before the - side, |b| ascending.
 
-    Raises :class:`FitError` when more than ``max_missing_fraction`` of the
-    samples bracket no root at all.
+    Raises :class:`ValueError` unless every x, y and t lies in (0, 1], and
+    :class:`FitError` when more than ``max_missing_fraction`` of the samples
+    bracket no root at all.
     """
-    x, y, t = np.asarray(triples, dtype=np.float64).reshape(-1, 3).T
+    triples = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+    if not np.all((triples > 0.0) & (triples <= 1.0)):
+        raise ValueError("every x, y and t must lie in (0, 1]")
+    x, y, t = triples.T
     ladder = np.geomspace(*BETA_BRACKET, _LADDER_POINTS)
     betas = np.concatenate([ladder, -ladder])
     partner = np.arange(1, betas.size + 1)
@@ -189,23 +191,6 @@ def _draw_fit_samples(spec: TNormSpec, grid: GridSpec) -> np.ndarray:
     return rows
 
 
-def _validation_residual(spec: TNormSpec, candidate: TNormSpec,
-                         grid: GridSpec) -> float:
-    axis = grid.validation_axis()
-    x, y = axis[:, None], axis[None, :]
-    return float(np.abs(tnorm_values(spec, x, y)
-                        - tnorm_values(candidate, x, y)).max())
-
-
-def fit_beta(spec: TNormSpec, grid: GridSpec = GridSpec()) -> tuple[float, float]:
-    """Fitted exponent and its validation residual against the exact
-    Schweizer-Sklar member on the off-grid lattice."""
-    samples = _draw_fit_samples(spec, grid)
-    beta_hat = fit_beta_from_triples(samples)
-    residual = _validation_residual(spec, SchweizerSklar(beta_hat), grid)
-    return beta_hat, residual
-
-
 # --------------------------------------------------------------------------
 # Classification
 # --------------------------------------------------------------------------
@@ -233,11 +218,16 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
             f"{axioms.summary()}")
 
     g = grid.axis()
-    d = diagonal_values(spec, g)
+    x, y = g[:, None], g[None, :]
+    T = tnorm_values(spec, x, y)
+    d = np.diagonal(T)
+    lattice = grid.validation_axis()
+    vx, vy = lattice[:, None], lattice[None, :]
+    T_valid = tnorm_values(spec, vx, vy)
 
     def validated(family: str, candidate: TNormSpec,
                   parameter: Optional[float]) -> Optional[ClassificationResult]:
-        residual = _validation_residual(spec, candidate, grid)
+        residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
         ok = residual <= grid.eq_tol
         evidence.append({"test": _validation_test(family), "passed": ok,
                          "detail": {"candidate": spec_label(candidate),
@@ -273,8 +263,7 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
         return result
 
     # (3) pointwise product
-    x, y = g[:, None], g[None, :]
-    prod_dev = float(np.abs(tnorm_values(spec, x, y) - x * y).max())
+    prod_dev = float(np.abs(T - x * y).max())
     product_match = prod_dev <= grid.eq_tol
     evidence.append({"test": "product_match", "passed": product_match,
                      "detail": {"max_deviation": prod_dev}})

@@ -3,6 +3,8 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnormlab import analysis as an
 from tnormlab.analysis import (
@@ -59,6 +61,15 @@ def test_gridspec_validation():
 def test_validation_axis_is_off_grid():
     g = GridSpec(points=11)
     assert not np.intersect1d(g.axis(), g.validation_axis()).size
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=3, max_value=5000))
+def test_axis_ends_exactly_at_0_and_1(n):
+    # the checks read T(g, 1) and F(g, 1) as the last column of a grid table
+    axis = GridSpec(points=n).axis()
+    assert axis[0] == 0.0
+    assert axis[-1] == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -512,6 +523,15 @@ def test_continuity_drastic_both_jump(grid):
     assert not report.metadata["f_continuous_at_grid_scale"]
     assert eval_tnorm(Drastic(), 1.0, 0.9) - eval_tnorm(Drastic(), 0.99, 0.9) \
         == 0.9
+
+
+def test_adjacent_jump_tie_goes_to_x_neighbours(grid):
+    # drastic is symmetric: its largest x-step and y-step are equal
+    g = grid.axis()
+    table = tnorm_values(Drastic(), g[:, None], g[None, :])
+    jump, w = an._max_adjacent_jump(table, g)
+    assert jump == 0.99
+    assert (w.x, w.y, w.lhs, w.rhs) == (1.0, 0.99, 0.99, 0.0)
 
 
 def test_continuity_cshelf_both_jump(grid):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from tnormlab.classify import (
     PreconditionError,
     _draw_fit_samples,
     classify,
-    fit_beta,
     fit_beta_from_triples,
 )
 from tnormlab.core import (
@@ -24,6 +24,9 @@ from tnormlab.core import (
 from tnormlab.rng import SplitMix64
 
 from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
+
+# the package re-exports the function under the module's name
+classify_module = importlib.import_module("tnormlab.classify")
 
 EXPECTED_FAMILY = {
     "min": ("Minimum", None),
@@ -59,15 +62,25 @@ def sample_triples(spec, n, seed=0xBEEF):
 
 @pytest.mark.parametrize("beta", [2.0, -0.5, -2.0, 3.0, 0.5])
 def test_fit_recovers_exact_exponent(beta, grid):
-    beta_hat, residual = fit_beta(SchweizerSklar(beta), grid)
-    assert abs(beta_hat - beta) / abs(beta) <= 1e-6
-    assert residual <= grid.eq_tol
+    result = classify(SchweizerSklar(beta), grid)
+    assert abs(result.parameter - beta) / abs(beta) <= 1e-6
+    assert result.residual <= grid.eq_tol
 
 
 def test_fit_product_has_no_informative_samples(grid):
     # every sample sits on t = x*y and is filtered out
     with pytest.raises(FitError):
-        fit_beta(Product(), grid)
+        _draw_fit_samples(Product(), grid)
+
+
+def test_fit_rejects_rows_outside_the_unit_interval():
+    # t = 0 would divide by zero in the negative-side scaling
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        fit_beta_from_triples(np.tile([0.5, 0.4, 0.0], (60, 1)))
+    with pytest.raises(ValueError):
+        fit_beta_from_triples(np.asarray([[0.5, 1.5, 0.4]]))
+    with pytest.raises(ValueError):
+        fit_beta_from_triples(np.asarray([[np.nan, 0.5, 0.4]]))
 
 
 def test_fit_from_noisy_samples_stays_close():
@@ -186,6 +199,24 @@ def test_classify_ordinal_sum_not_gph(spec, grid):
     assert cited and cited[0]["detail"]["witness"] is not None
     assert not any(e["passed"] for e in result.evidence
                    if e["test"].startswith("validate_"))
+
+
+def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):
+    # the spec's table on the validation lattice is shared by all candidates
+    spec = parse_spec("osum:[0.2,0.6,luk;0.6,1,prod]")
+    lattice = grid.validation_axis()
+    calls = []
+
+    def counting(s, x, y):
+        if s == spec and np.array_equal(np.ravel(x), lattice):
+            calls.append(s)
+        return tnorm_values(s, x, y)
+
+    monkeypatch.setattr(classify_module, "tnorm_values", counting)
+    result = classify(spec, grid)
+    assert result.family == "NotGPH"
+    assert sum(e["test"].startswith("validate_") for e in result.evidence) == 4
+    assert len(calls) == 1
 
 
 def test_classify_requires_axioms(grid):
