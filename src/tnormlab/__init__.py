@@ -9,7 +9,6 @@ from .analysis import (
     GridSpec,
     Report,
     Witness,
-    canonical_f,
     check_archimedean,
     check_axioms,
     check_continuity_equivalence,
@@ -32,7 +31,6 @@ from .core import (
     Catalog,
     CompanionF,
     CShelf,
-    Diagonal,
     DomainError,
     Drastic,
     Expr,
@@ -44,7 +42,6 @@ from .core import (
     StructuralError,
     Summand,
     TNormSpec,
-    diagonal,
     diagonal_pseudo_inverse,
     eval_companion,
     eval_tnorm,
@@ -55,17 +52,15 @@ from .dsl import EvalError, Expression, ParseError, eval_expr, parse, serialize
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "Report", "Witness",
-    "canonical_f", "check_archimedean", "check_axioms",
+    "GridSpec", "Report", "Witness", "check_archimedean", "check_axioms",
     "check_continuity_equivalence", "check_gph", "check_pseudo_homogeneous",
     "check_tm_equivalences", "check_unit_scale", "find_gph_counterexample",
     "reconstruct_t_from_f", "scan_diagonal",
     "ClassificationResult", "FitError", "PreconditionError", "classify",
-    "Canonical", "Catalog", "CompanionF", "CShelf", "Diagonal", "DomainError", "Drastic",
+    "Canonical", "Catalog", "CompanionF", "CShelf", "DomainError", "Drastic",
     "Expr", "Lukasiewicz", "Minimum", "OrdinalSum", "Product",
     "SchweizerSklar", "StructuralError", "Summand", "TNormSpec",
-    "diagonal", "diagonal_pseudo_inverse", "eval_companion", "eval_tnorm",
-    "t_power",
+    "diagonal_pseudo_inverse", "eval_companion", "eval_tnorm", "t_power",
     "EvalError", "Expression", "ParseError", "eval_expr", "parse",
     "serialize",
     "__version__",

@@ -36,10 +36,8 @@ from .core import (
     OrdinalSum,
     TNormSpec,
     _format_param,
-    companion_label,
     companion_values,
-    diagonal,
-    diagonal_values,
+    eval_tnorm,
     spec_label,
     tnorm_values,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "CONTINUITY_JUMP_FACTOR",
     "ASSOC_GRID_CAP",
     "check_axioms",
-    "canonical_f",
     "reconstruct_t_from_f",
     "reconstruct_values",
     "check_gph",
@@ -140,8 +137,8 @@ class Report:
         return {**vars(self),
                 "witness": self.witness.to_dict() if self.witness else None}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def summary(self) -> str:
         line = (f"{self.check}: {'PASS' if self.passed else 'FAIL'} "
@@ -186,11 +183,6 @@ def _first_max(pieces) -> tuple[float, Witness]:
         if best is None or res.flat[i] > best:
             best, witness = float(res.flat[i]), _witness_at(i, *slots)
     return best, witness
-
-
-def canonical_f(spec: TNormSpec) -> Canonical:
-    """The companion every t-norm determines: F(x, y) = T(x, x*y)."""
-    return Canonical(spec)
 
 
 def reconstruct_values(f: CompanionF, x, y) -> np.ndarray:
@@ -294,17 +286,22 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # Scaling-equation sweeps
 # --------------------------------------------------------------------------
 
+def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t):
+    """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
+    equation, lhs = T(l*x, l*y) and rhs = F(l, t), where t = T(x, y)."""
+    lhs = tnorm_values(spec, lam * x, lam * y)
+    rhs = companion_values(comp, lam, t)
+    return np.abs(lhs - rhs), lam, x, y, lhs, rhs
+
+
 def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
-    """Yield (residual, lam, x, y, lhs, rhs) for each grid lambda in scan
-    order: both sides of the scaling equation over the (x, y) grid, x on
-    axis 0."""
+    """Yield the scaling-equation piece of each grid lambda in scan order,
+    over the (x, y) grid with x on axis 0."""
     g = grid.axis()
     x, y = g[:, None], g[None, :]
     T_xy = tnorm_values(spec, x, y)
     for lam in g:
-        lhs = tnorm_values(spec, lam * x, lam * y)
-        rhs = companion_values(comp, lam, T_xy)
-        yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
+        yield _scaling_piece(spec, comp, lam, x, y, T_xy)
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -316,21 +313,19 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     Sweeps all grid triples in (l, x, y) scan order plus ``samples`` seeded
     random triples; the witness is the first maximal-gap triple.
     """
-    comp = canonical_f(spec) if f is None else f
+    comp = Canonical(spec) if f is None else f
 
     def pieces():
         yield from _gph_slices(spec, comp, grid)
         if grid.samples > 0:
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
-            lhs = tnorm_values(spec, lam * x, lam * y)
-            rhs = companion_values(comp, lam, tnorm_values(spec, x, y))
-            yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
+            yield _scaling_piece(spec, comp, lam, x, y, tnorm_values(spec, x, y))
 
     best_gap, best = _first_max(pieces())
     passed = best_gap <= grid.eq_tol
     metadata = {
         "tnorm": spec_label(spec),
-        "companion": "intrinsic" if f is None else companion_label(f),
+        "companion": "intrinsic" if f is None else f.label(),
         "points": grid.points,
         "samples": grid.samples,
         "seed": grid.seed,
@@ -349,7 +344,7 @@ def check_unit_scale(f: CompanionF, grid: GridSpec = GridSpec()) -> Report:
     m, witness = _first_max([(np.abs(vals - g), 1.0, 1.0, g, vals, g)])
     passed = m <= grid.eq_tol
     return Report("unit_scale", passed, m, None if passed else witness, {
-        "companion": companion_label(f),
+        "companion": f.label(),
         "points": grid.points,
         "eq_tol": grid.eq_tol,
         "identity": "F(1, t) = t",
@@ -405,7 +400,7 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
         witness = cont_witness
     max_residual = 0.0 if passed else float(witness.gap)
     metadata = {
-        "companion": companion_label(f),
+        "companion": f.label(),
         "points": grid.points,
         "eq_tol": tol,
         "increasing_ok": inc_ok,
@@ -519,7 +514,7 @@ def check_archimedean(spec: TNormSpec,
 
 
 # --------------------------------------------------------------------------
-# Diagonal scan
+# Scan of the diagonal
 # --------------------------------------------------------------------------
 
 def diagonal_shelf(g: np.ndarray, d: np.ndarray,
@@ -546,7 +541,12 @@ def diagonal_shelf(g: np.ndarray, d: np.ndarray,
 
 
 def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
-    """Monotonicity of the diagonal, its limit at 1, and the shelf edge.
+    """Monotonicity of the diagonal x -> T(x, x), its limit at 1, and the
+    shelf edge.
+
+    For any t-norm the diagonal fixes 0 and 1, never exceeds its argument,
+    and is monotone increasing; the scan verifies monotonicity and
+    assumes none of these.
 
     The limit estimate is the diagonal at 1 - step_h and must land within
     ``max(eq_tol, 10 * step_h)`` of 0 or of 1 (the only limits a t-norm
@@ -555,7 +555,7 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     followed by identity diagonal values.
     """
     g = grid.axis()
-    d = diagonal_values(spec, g)
+    d = tnorm_values(spec, g, g)
     tol = grid.eq_tol
 
     drops = d[:-1] - d[1:]
@@ -565,7 +565,7 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
                                d[1:], d[:-1])
 
     probe = 1.0 - grid.step_h
-    limit_estimate = diagonal(spec, probe)
+    limit_estimate = eval_tnorm(spec, probe, probe)
     limit_tol = max(tol, 10.0 * grid.step_h)
     if limit_estimate <= limit_tol:
         limit = 0
@@ -613,7 +613,7 @@ def check_tm_equivalences(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Repor
     g = grid.axis()
     x, y = g[:, None], g[None, :]
     T = tnorm_values(spec, x, y)
-    F = companion_values(canonical_f(spec), x, y)
+    F = companion_values(Canonical(spec), x, y)
     tol = grid.strict_tol
 
     # statement -> (lhs table, rhs table, x coords, y coords)
@@ -673,7 +673,7 @@ def check_continuity_equivalence(spec: TNormSpec,
     this verifies the grid-scale surrogate of that equivalence."""
     g = grid.axis()
     T = tnorm_values(spec, g[:, None], g[None, :])
-    F = companion_values(canonical_f(spec), g[:, None], g[None, :])
+    F = companion_values(Canonical(spec), g[:, None], g[None, :])
     threshold = CONTINUITY_JUMP_FACTOR * grid.spacing
     t_jump, t_witness = _max_adjacent_jump(T, g)
     f_jump, f_witness = _max_adjacent_jump(F, g)
@@ -734,26 +734,22 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
                 probes.append(("case2", x / e, e, e))
 
     targeted = []
-    best = None
+    witness = sweep.witness
+    max_residual = sweep.max_residual
+    source = "sweep" if witness is not None else None
     if probes:
         cases = [case for case, *_ in probes]
         lam, x, y = np.asarray([p[1:] for p in probes]).T
-        lhs = tnorm_values(spec, lam * x, lam * y)
-        rhs = tnorm_values(spec, lam, lam * tnorm_values(spec, x, y))
-        gap = np.abs(lhs - rhs)
+        gap, *slots = _scaling_piece(spec, Canonical(spec), lam, x, y,
+                                     tnorm_values(spec, x, y))
         rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
         targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
                     for row in rows]
-        _, best = _first_max([(gap, lam, x, y, lhs, rhs)])
-
-    if best is not None and best.gap > grid.eq_tol:
-        witness = best
-        max_residual = best.gap
-        source = next(p["case"] for p in targeted if p["gap"] == best.gap)
-    else:
-        witness = sweep.witness
-        max_residual = sweep.max_residual
-        source = "sweep" if witness is not None else None
+        i = int(np.argmax(gap))  # the first maximal gap
+        if gap[i] > grid.eq_tol:
+            witness = _witness_at(i, *slots)
+            max_residual = witness.gap
+            source = cases[i]
 
     passed = witness is None
     metadata = {
@@ -780,7 +776,7 @@ def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
                   grid: GridSpec = GridSpec()):
     """Yield (lambda, x, y, lhs, rhs, residual) for every grid triple, in
     scan order.  Streams one lambda slice at a time."""
-    comp = canonical_f(spec) if f is None else f
+    comp = Canonical(spec) if f is None else f
     g = grid.axis()
     flat_x = np.repeat(g, g.size).tolist()
     flat_y = np.tile(g, g.size).tolist()

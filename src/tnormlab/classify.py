@@ -69,6 +69,8 @@ _TARGET_SAMPLES = 64
 _MAX_DRAWS = 20_000
 _BISECT_TOL = 1e-10
 _LADDER_POINTS = 48
+#: the fit fails when more than this share of the samples brackets no root.
+_MAX_MISSING_FRACTION = 0.2
 
 
 class PreconditionError(Exception):
@@ -90,8 +92,8 @@ class ClassificationResult:
     def to_dict(self) -> dict:
         return {**vars(self), "evidence": list(self.evidence)}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # --------------------------------------------------------------------------
@@ -109,8 +111,7 @@ def _h(beta, x, y, t):
     return np.where(pos, powers - 1.0 - t_abs, powers - t_abs - 1.0)
 
 
-def fit_beta_from_triples(triples: np.ndarray,
-                          max_missing_fraction: float = 0.2) -> float:
+def fit_beta_from_triples(triples: np.ndarray) -> float:
     """Median per-sample root over (x, y, t) rows.
 
     The equation is tabled over the ladder for all rows at once.  Column j
@@ -123,8 +124,8 @@ def fit_beta_from_triples(triples: np.ndarray,
     the first in scan order, the + side before the - side, |b| ascending.
 
     Raises :class:`ValueError` unless every x, y and t lies in (0, 1], and
-    :class:`FitError` when more than ``max_missing_fraction`` of the samples
-    bracket no root at all.
+    :class:`FitError` when more than ``_MAX_MISSING_FRACTION`` of the
+    samples bracket no root at all.
     """
     triples = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
     if not np.all((triples > 0.0) & (triples <= 1.0)):
@@ -164,7 +165,7 @@ def fit_beta_from_triples(triples: np.ndarray,
     found = np.flatnonzero(bracket.any(axis=1))
     per_sample = table[found, score[found].argmin(axis=1)]
     missing = len(table) - len(found)
-    if missing > max_missing_fraction * len(table) or not len(found):
+    if missing > _MAX_MISSING_FRACTION * len(table) or not len(found):
         raise FitError(
             f"no exponent bracket for {missing} of {len(table)} samples")
     return float(np.median(per_sample))
@@ -224,10 +225,12 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     lattice = grid.validation_axis()
     vx, vy = lattice[:, None], lattice[None, :]
     T_valid = tnorm_values(spec, vx, vy)
+    residuals: dict[str, float] = {}  # family -> its validation residual
 
     def validated(family: str, candidate: TNormSpec,
                   parameter: Optional[float]) -> Optional[ClassificationResult]:
         residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
+        residuals[family] = residual
         ok = residual <= grid.eq_tol
         evidence.append({"test": _validation_test(family), "passed": ok,
                          "detail": {"candidate": spec_label(candidate),
@@ -289,7 +292,7 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     # NotGPH: record how far the closed kinds are and certify with a witness
     for family, candidate in (("Minimum", Minimum()), ("Product", Product()),
                               ("Drastic", Drastic())):
-        if not any(e["test"] == _validation_test(family) for e in evidence):
+        if family not in residuals:
             # a branch predicate was too strict; the residual rules
             if result := validated(family, candidate, None):
                 return result
@@ -303,6 +306,6 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                    "max_residual": counterexample.max_residual},
     })
 
-    best = min((e["detail"]["residual"] for e in evidence
-                if e["test"].startswith("validate_")), default=math.inf)
-    return ClassificationResult("NotGPH", None, float(best), tuple(evidence))
+    return ClassificationResult("NotGPH", None,
+                                min(residuals.values(), default=math.inf),
+                                tuple(evidence))

@@ -69,14 +69,10 @@ __all__ = [
     "eval_companion",
     "tnorm_values",
     "companion_values",
-    "Diagonal",
-    "diagonal",
-    "diagonal_values",
     "t_power",
     "diagonal_pseudo_inverse",
     "spec_label",
     "parse_spec",
-    "companion_label",
 ]
 
 #: rejection threshold for Schweizer-Sklar exponents; the b -> 0 limit is
@@ -423,34 +419,6 @@ def eval_companion(f: CompanionF, x: float, y: float) -> float:
     return float(companion_values(f, [as_unit(x, "x")], [as_unit(y, "y")])[0])
 
 
-def diagonal(spec: TNormSpec, x: float) -> float:
-    """The diagonal x -> T(x, x)."""
-    return eval_tnorm(spec, x, x)
-
-
-def diagonal_values(spec: TNormSpec, x) -> np.ndarray:
-    xa = np.asarray(x, dtype=np.float64)
-    return tnorm_values(spec, xa, xa)
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    """x -> T(x, x) as a callable value.
-
-    For any t-norm it fixes 0 and 1, never exceeds its argument, and is
-    monotone increasing; the scans in the analysis layer verify those
-    properties rather than assume them.
-    """
-
-    of: TNormSpec
-
-    def __call__(self, x: float) -> float:
-        return diagonal(self.of, x)
-
-    def values(self, x) -> np.ndarray:
-        return diagonal_values(self.of, x)
-
-
 def t_power(spec: TNormSpec, x: float, n: int) -> float:
     """n-fold composition x^(n): x^(1) = x, x^(n) = T(x, x^(n-1))."""
     if n < 1:
@@ -476,7 +444,7 @@ def diagonal_pseudo_inverse(spec: TNormSpec, y: float, tol: float) -> float:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     zs = np.linspace(0.0, 1.0, _PSEUDO_INVERSE_SAMPLES)
-    ds = diagonal_values(spec, zs)
+    ds = tnorm_values(spec, zs, zs)
     if np.any(np.diff(ds) < -1e-12):
         raise StructuralError(
             "sampled diagonal is not monotone increasing; the pseudo-inverse"
@@ -497,7 +465,7 @@ def _bisect_diagonal(spec: TNormSpec, level: float, lo: float, hi: float,
     predicate true at lo and false at hi."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if diagonal(spec, mid) <= level:
+        if eval_tnorm(spec, mid, mid) <= level:
             lo = mid
         else:
             hi = mid
@@ -536,7 +504,3 @@ def parse_spec(token: str) -> TNormSpec:
         return kind.from_token(body)
     except (ValueError, DomainError) as err:
         raise ValueError(f"bad {head}: spec {token!r}: {err}") from err
-
-
-def companion_label(f: CompanionF) -> str:
-    return f.label()

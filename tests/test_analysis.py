@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tnormlab import analysis as an
 from tnormlab.analysis import (
     GridSpec,
-    canonical_f,
     check_archimedean,
     check_axioms,
     check_continuity_equivalence,
@@ -152,14 +151,14 @@ def test_assoc_blocks_keep_the_whole_cube_witness():
 
 
 # --------------------------------------------------------------------------
-# canonical_f / reconstruct
+# Canonical / reconstruct
 # --------------------------------------------------------------------------
 
 def test_canonical_f_examples():
-    assert eval_companion(canonical_f(Minimum()), 0.3, 0.8) == \
+    assert eval_companion(Canonical(Minimum()), 0.3, 0.8) == \
         pytest.approx(0.24, abs=1e-15)
-    assert eval_companion(canonical_f(Product()), 0.5, 1.0) == 0.25
-    assert eval_companion(canonical_f(Drastic()), 0.5, 0.7) == 0.0
+    assert eval_companion(Canonical(Product()), 0.5, 1.0) == 0.25
+    assert eval_companion(Canonical(Drastic()), 0.5, 0.7) == 0.0
 
 
 def test_reconstruct_from_section_formula():
@@ -448,7 +447,7 @@ def test_archimedean_rejects_bad_arguments():
 
 
 # --------------------------------------------------------------------------
-# Diagonal scan
+# Scan of the diagonal
 # --------------------------------------------------------------------------
 
 def test_scan_drastic_limit_zero(grid):
@@ -493,14 +492,14 @@ def test_tm_equivalences_product(grid):
     report = check_tm_equivalences(Product(), grid)
     assert report.passed
     assert not any(report.metadata["statements"].values())
-    assert eval_companion(canonical_f(Product()), 0.5, 1.0) == 0.25
+    assert eval_companion(Canonical(Product()), 0.5, 1.0) == 0.25
 
 
 def test_tm_equivalences_lukasiewicz(grid):
     report = check_tm_equivalences(Lukasiewicz(), grid)
     assert report.passed
     assert not any(report.metadata["statements"].values())
-    f = canonical_f(Lukasiewicz())
+    f = Canonical(Lukasiewicz())
     assert eval_companion(f, 0.5, 1.0) == 0.0
     assert eval_companion(f, 1.0, 0.5) == 0.5
 
@@ -576,6 +575,28 @@ def test_counterexample_families_clean(grid):
     assert report.max_residual <= grid.eq_tol
 
 
+@pytest.mark.parametrize("spec", ORDINAL_SUMS + [
+    parse_spec("osum:[0.1,0.4,ss:-1.5;0.55,0.9,ss:2.5]"),
+    parse_spec("osum:[0.05,0.3,ss:0.7;0.3,0.35,luk;0.6,1,ss:-0.5]"),
+], ids=lambda spec: spec.label())
+def test_targeted_probes_replay(spec):
+    # each probe's gap is the scaling equation's |lhs - rhs| at its triple,
+    # with the canonical companion F(l, t) = T(l, l*t) on the right
+    grid = GridSpec(points=51, samples=500)
+    report = find_gph_counterexample(spec, grid)
+    probes = report.metadata["targeted_probes"]
+    assert probes
+    for p in probes:
+        lam, x, y = p["lambda"], p["x"], p["y"]
+        lhs = eval_tnorm(spec, lam * x, lam * y)
+        rhs = eval_tnorm(spec, lam, lam * eval_tnorm(spec, x, y))
+        assert p["gap"] == abs(lhs - rhs)
+    gaps = [p["gap"] for p in probes]
+    top = gaps.index(max(gaps))  # the first maximal gap
+    expected = probes[top]["case"] if gaps[top] > grid.eq_tol else "sweep"
+    assert report.metadata["witness_source"] == expected
+
+
 # --------------------------------------------------------------------------
 # Pseudo-inverse form of the companion (strict/nilpotent kinds)
 # --------------------------------------------------------------------------
@@ -584,12 +605,13 @@ def test_counterexample_families_clean(grid):
                                   SchweizerSklar(-1), SchweizerSklar(-0.5)],
                          ids=["prod", "ss:2", "ss:-1", "ss:-0.5"])
 def test_companion_equals_diagonal_of_scaled_pseudo_inverse(spec):
-    from tnormlab.core import diagonal, diagonal_pseudo_inverse
+    from tnormlab.core import diagonal_pseudo_inverse
     for x in (0.3, 0.7, 0.9, 1.0):
         for y in (0.05, 0.3, 0.8, 1.0):
             expected = eval_companion(Catalog(spec), x, y)
             z = diagonal_pseudo_inverse(spec, y, 1e-12)
-            assert diagonal(spec, x * z) == pytest.approx(expected, abs=1e-8)
+            xz = x * z
+            assert eval_tnorm(spec, xz, xz) == pytest.approx(expected, abs=1e-8)
 
 
 # --------------------------------------------------------------------------

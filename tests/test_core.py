@@ -21,7 +21,6 @@ from tnormlab.core import (
     StructuralError,
     Summand,
     companion_values,
-    diagonal,
     diagonal_pseudo_inverse,
     eval_companion,
     eval_tnorm,
@@ -198,22 +197,21 @@ def test_canonical_drastic_example():
 
 
 # --------------------------------------------------------------------------
-# Diagonal, powers, pseudo-inverse
+# The diagonal, powers, pseudo-inverse
 # --------------------------------------------------------------------------
 
 def test_diagonal_examples():
-    assert diagonal(Minimum(), 0.7) == 0.7
-    assert diagonal(Lukasiewicz(), 0.7) == pytest.approx(0.4, abs=1e-15)
-    assert diagonal(CShelf(0.5), 0.4) == 0.0
-    assert diagonal(CShelf(0.5), 0.6) == 0.6
+    assert eval_tnorm(Minimum(), 0.7, 0.7) == 0.7
+    assert eval_tnorm(Lukasiewicz(), 0.7, 0.7) == pytest.approx(0.4, abs=1e-15)
+    assert eval_tnorm(CShelf(0.5), 0.4, 0.4) == 0.0
+    assert eval_tnorm(CShelf(0.5), 0.6, 0.6) == 0.6
 
 
 @pytest.mark.parametrize("name,spec,_", FAMILY_MATRIX, ids=MATRIX_IDS)
 def test_diagonal_invariants(name, spec, _):
-    d = core.Diagonal(spec)
-    assert d(0.0) == 0.0
-    assert d(1.0) == 1.0
-    values = d.values(GRID)
+    assert eval_tnorm(spec, 0.0, 0.0) == 0.0
+    assert eval_tnorm(spec, 1.0, 1.0) == 1.0
+    values = tnorm_values(spec, GRID, GRID)
     assert np.all(values <= GRID + 1e-15)
     assert np.all(np.diff(values) >= -1e-15)
 
@@ -263,7 +261,7 @@ def test_pseudo_inverse_ss_positive_against_oracle():
         lambda z: math.sqrt(max(2.0 * z * z - 1.0, 0.0)), 0.45)
     r = diagonal_pseudo_inverse(SchweizerSklar(2), 0.45, 1e-12)
     assert r == pytest.approx(expected, abs=1e-11)
-    assert abs(diagonal(SchweizerSklar(2), r) - 0.45) <= 1e-10
+    assert abs(eval_tnorm(SchweizerSklar(2), r, r) - 0.45) <= 1e-10
 
 
 @pytest.mark.parametrize("name,spec,_", FAMILY_MATRIX, ids=MATRIX_IDS)
@@ -383,7 +381,7 @@ def test_catalog_agrees_with_canonical(name, spec, tol):
 def test_minimum_is_the_only_grid_idempotent():
     interior = GRID[(GRID > 0) & (GRID < 1)]
     for name, spec, _ in FAMILY_MATRIX:
-        d = core.diagonal_values(spec, interior)
+        d = tnorm_values(spec, interior, interior)
         idempotent = bool(np.all(np.abs(d - interior) <= 1e-12))
         assert idempotent == isinstance(spec, Minimum), name
 
@@ -391,7 +389,7 @@ def test_minimum_is_the_only_grid_idempotent():
 def test_drastic_is_the_only_zero_diagonal():
     interior = GRID[(GRID > 0) & (GRID < 1)]
     for name, spec, _ in FAMILY_MATRIX:
-        d = core.diagonal_values(spec, interior)
+        d = tnorm_values(spec, interior, interior)
         vanishing = bool(np.all(d <= 1e-12))
         assert vanishing == isinstance(spec, Drastic), name
 
@@ -399,7 +397,7 @@ def test_drastic_is_the_only_zero_diagonal():
 def test_cshelf_diagonal_shape():
     shelf = CShelf(0.25)
     xs = GRID[(GRID > 0) & (GRID < 1)]
-    d = core.diagonal_values(shelf, xs)
+    d = tnorm_values(shelf, xs, xs)
     assert np.all(d[xs < 0.25] == 0.0)
     assert np.all(d[xs >= 0.25] == xs[xs >= 0.25])
 
@@ -407,7 +405,7 @@ def test_cshelf_diagonal_shape():
 def test_diagonal_limit_dichotomy_at_probe():
     probe = 1.0 - 1e-6
     for name, spec, _ in FAMILY_MATRIX:
-        value = diagonal(spec, probe)
+        value = eval_tnorm(spec, probe, probe)
         if isinstance(spec, Drastic):
             assert value == 0.0, name
         else:
