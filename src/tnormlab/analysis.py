@@ -294,11 +294,17 @@ def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t):
     return np.abs(lhs - rhs), lam, x, y, lhs, rhs
 
 
-def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
+def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec,
+                half: bool = False):
     """Yield the scaling-equation piece of each grid lambda in scan order,
-    over the (x, y) grid with x on axis 0."""
+    over the (x, y) grid with x on axis 0, or with ``half`` over its upper
+    triangle x <= y as flat arrays in C order."""
     g = grid.axis()
-    x, y = g[:, None], g[None, :]
+    if half:
+        i, j = np.triu_indices(g.size)
+        x, y = g[i], g[j]
+    else:
+        x, y = g[:, None], g[None, :]
     T_xy = tnorm_values(spec, x, y)
     for lam in g:
         yield _scaling_piece(spec, comp, lam, x, y, T_xy)
@@ -311,12 +317,15 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     With ``f`` omitted the check is intrinsic: it uses the canonical
     companion F(l, t) = T(l, l*t), the only candidate any t-norm admits.
     Sweeps all grid triples in (l, x, y) scan order plus ``samples`` seeded
-    random triples; the witness is the first maximal-gap triple.
+    random triples; the witness is the first maximal-gap triple.  For a
+    ``symmetric`` spec both sides are unchanged by swapping x and y, bit
+    for bit, so each l slice sweeps only x <= y: the first maximal entry
+    of a slice always lies there, and the witness is the full sweep's.
     """
     comp = Canonical(spec) if f is None else f
 
     def pieces():
-        yield from _gph_slices(spec, comp, grid)
+        yield from _gph_slices(spec, comp, grid, spec.symmetric)
         if grid.samples > 0:
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
             yield _scaling_piece(spec, comp, lam, x, y, tnorm_values(spec, x, y))

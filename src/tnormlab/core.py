@@ -22,9 +22,14 @@ for use as verification and counterexample targets.
 
 Each kind is declared once, as a frozen dataclass holding its mini-syntax
 tokens, its label and its array kernel; tnorm_values, spec_label,
-CATALOG_KINDS and parse_spec derive from those declarations.  A label is
-a mini-syntax token: parse_spec(spec_label(s)) == s for every spec whose
-ordinal-sum summands are catalog kinds, the only summands allowed.
+CATALOG_KINDS and parse_spec derive from those declarations.  A kind's
+``symmetric`` constant declares that its kernel is bitwise commutative,
+T(x, y) and T(y, x) being the same float for all inputs: true for
+CATALOG_KINDS and the ordinal sums of them, false for DSL expressions,
+which need not be (``x*0.3*y`` rounds differently from ``y*0.3*x`` for
+about a third of random pairs).  A label is a mini-syntax token:
+parse_spec(spec_label(s)) == s for every spec whose ordinal-sum summands
+are catalog kinds, the only summands allowed.
 
 All evaluation is pure; values are binary64 and results of power-based
 formulas are clamped to [0, 1] with at most CLAMP_SLACK of drift allowed.
@@ -118,6 +123,8 @@ class _Kind:
     tokens: tuple[str, ...] = ()
     #: whether the kind is in the closed catalog (and may be an osum summand).
     catalog = True
+    #: whether ``values(x, y)`` and ``values(y, x)`` agree bit for bit.
+    symmetric = True
 
     def label(self) -> str:
         params = [_format_param(getattr(self, f.name)) for f in fields(self)]
@@ -301,6 +308,7 @@ class Expr(_Kind):
     ast: Expression
     tokens = ("expr",)
     catalog = False
+    symmetric = False
 
     def __post_init__(self):
         if isinstance(self.ast, str):

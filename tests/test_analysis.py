@@ -1,5 +1,8 @@
 import math
+import re
 from decimal import ROUND_FLOOR, Decimal, localcontext
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from tnormlab.core import (
     Canonical,
     Catalog,
     CShelf,
+    DomainError,
     Drastic,
     Expr,
     Lukasiewicz,
@@ -232,6 +236,63 @@ def test_gph_ordinal_sum_fails_intrinsically(grid):
     assert report.max_residual == pytest.approx(0.25, abs=1e-12)
     assert (report.witness.lam, report.witness.x, report.witness.y) == \
         (0.5, 0.5, 0.5)
+
+
+#: (spec, companion) pairs whose half sweep is compared with the full cube:
+#: every symmetric kind of the matrix and luk, intrinsic and with its
+#: Catalog companion, the fixed ordinal sums, and two Expr companions.
+HALF_SWEEP_CASES = (
+    [(spec, f) for spec in [s for _, s, _ in FAMILY_MATRIX] + [Lukasiewicz()]
+     for f in (None, Catalog(spec))]
+    + [(spec, None) for spec in ORDINAL_SUMS]
+    + [(Lukasiewicz(), Expr("max(x+x*y-1,0)")), (Product(), Expr("x*y"))])
+
+
+@lru_cache(maxsize=None)
+def full_cube_first_max(spec, f, points):
+    """The first maximal row of residual_rows, the full points^3 cube."""
+    rows = residual_rows(spec, f, GridSpec(points=points, samples=0))
+    return max(rows, key=itemgetter(5))
+
+
+@pytest.mark.parametrize("points", [51, 151])
+@pytest.mark.parametrize(
+    "spec,f", HALF_SWEEP_CASES,
+    ids=[f"{s.label()}/{'intrinsic' if f is None else f.label()}"
+         for s, f in HALF_SWEEP_CASES])
+def test_gph_half_sweep_matches_full_cube(spec, f, points):
+    """A symmetric spec sweeps only x <= y, yet reports the full cube's
+    maximum and its first maximal triple, at the default eq_tol (ss:2 at
+    151 points and the ordinal sums fail) and at the least positive one,
+    where every nonzero residual has a witness and ties are many."""
+    # Catalog is Canonical plus a guard: both forms share one reference
+    row = full_cube_first_max(spec, None if isinstance(f, Catalog) else f,
+                              points)
+    for eq_tol in (1e-9, 5e-324):
+        report = check_gph(spec, f, GridSpec(points=points, samples=0,
+                                             eq_tol=eq_tol))
+        assert report.max_residual == row[5]
+        assert report.passed == (row[5] <= eq_tol)
+        if not report.passed:
+            w = report.witness
+            assert (w.lam, w.x, w.y, w.lhs, w.rhs, w.gap) == row
+
+
+def test_gph_expr_sweeps_full_cube():
+    """x^3*y is not symmetric: its largest residual at 51 points lies below
+    the diagonal, and the upper triangle's is 2.220446049250313e-16."""
+    report = check_gph(Expr("x^3*y"), None, GridSpec(points=51, samples=0))
+    assert report.max_residual == 3.3306690738754696e-16
+
+
+def test_gph_expr_companion_domain_error_text():
+    """The first out-of-range companion value names the same point on the
+    half sweep as on the full cube."""
+    with pytest.raises(DomainError, match=re.escape(
+            "companion expression evaluates outside [0, 1] at"
+            " (x, y) = (0.25, 0.375): 1.3125")):
+        check_gph(Product(), Expr("min(1,2*y)*(1+x*(1-x)*4)"),
+                  GridSpec(points=5))
 
 
 def test_gph_deterministic_reports(grid):

@@ -27,6 +27,7 @@ from tnormlab.core import (
     t_power,
     tnorm_values,
 )
+from tnormlab.rng import SplitMix64
 
 from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS, paper_companion
 
@@ -194,6 +195,68 @@ def test_kernels_broadcast_bitwise(spec, g, of):
 
 def test_canonical_drastic_example():
     assert eval_companion(Canonical(Drastic()), 0.5, 0.7) == 0.0
+
+
+# --------------------------------------------------------------------------
+# Bitwise symmetry (the half-cube scaling sweep relies on it)
+# --------------------------------------------------------------------------
+
+def test_symmetric_declared_for_every_kind_but_expr():
+    for kind in core.TNORM_KINDS:
+        assert kind.symmetric is (kind is not Expr), kind.__name__
+
+
+def random_ordinal_sum(rng: SplitMix64) -> OrdinalSum:
+    """One to three summands of any catalog kind on sorted seeded cuts."""
+    kinds = [lambda u: Minimum(), lambda u: Product(), lambda u: Lukasiewicz(),
+             lambda u: Drastic(), lambda u: SchweizerSklar(0.5 + 2.5 * u),
+             lambda u: SchweizerSklar(-0.5 - 2.5 * u),
+             lambda u: CShelf(0.1 + 0.8 * u)]
+    count = 1 + int(rng.next_unit() * 3)
+    cuts = np.sort(rng.unit_array(2 * count))
+    return OrdinalSum([
+        (cuts[2 * k], cuts[2 * k + 1],
+         kinds[int(rng.next_unit() * len(kinds))](rng.next_unit()))
+        for k in range(count)])
+
+
+_OSUM_RNG = SplitMix64(0x05E)
+SYMMETRIC_SPECS = ([spec for _, spec, _ in FAMILY_MATRIX]
+                   + [Lukasiewicz(), SchweizerSklar(-3.0), *ORDINAL_SUMS]
+                   + [random_ordinal_sum(_OSUM_RNG) for _ in range(6)])
+
+
+def symmetry_pairs():
+    """About 10^5 seeded pairs: uniform ones, pairs scaled to about 1e-120
+    (where x^b overflows for ss:-3), and exact 0 and 1, subnormals and tiny
+    values against each other and against uniform values."""
+    u, v = SplitMix64(0x5A17).unit_tuples(50_000, 2).T
+    special = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                        1e-120, 7e-121, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    sx, sy = np.meshgrid(special, special)
+    x = np.concatenate([u, 1e-120 * u[:20_000], 1e-120 * u[20_000:30_000],
+                        sx.ravel(), np.resize(special, 20_000)])
+    y = np.concatenate([v, 1e-120 * v[:20_000], v[20_000:30_000],
+                        sy.ravel(), v[30_000:]])
+    return x, y
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_SPECS,
+                         ids=[core.spec_label(s) for s in SYMMETRIC_SPECS])
+def test_symmetric_kernels_are_bitwise_commutative(spec):
+    """T(x, y) and T(y, x) are the same float for every declared kind, on
+    seeded pairs and on the lambda-scaled pairs (l*g[i], l*g[j]) the
+    scaling sweep evaluates."""
+    assert spec.symmetric
+    x, y = symmetry_pairs()
+    assert np.array_equal(tnorm_values(spec, x, y), tnorm_values(spec, y, x))
+    for n in (51, 101, 151, 201):
+        g = np.linspace(0.0, 1.0, n)
+        i, j = np.triu_indices(n, 1)
+        lam = g[::n // 50, None]  # about 50 lambdas per grid
+        lx, ly = lam * g[i], lam * g[j]
+        assert np.array_equal(tnorm_values(spec, lx, ly),
+                              tnorm_values(spec, ly, lx)), n
 
 
 # --------------------------------------------------------------------------
