@@ -286,28 +286,43 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # Scaling-equation sweeps
 # --------------------------------------------------------------------------
 
-def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t):
+def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t, at):
     """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
-    equation, lhs = T(l*x, l*y) and rhs = F(l, t), where t = T(x, y)."""
+    equation, lhs = T(l*x, l*y) and rhs = F(l, t)[at], where t[at] =
+    T(x, y); ``at`` is ``...`` when ``t`` is T(x, y) itself."""
     lhs = tnorm_values(spec, lam * x, lam * y)
-    rhs = companion_values(comp, lam, t)
+    rhs = companion_values(comp, lam, t)[at]
     return np.abs(lhs - rhs), lam, x, y, lhs, rhs
+
+
+def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct floats of ``t`` by bit pattern (so -0.0 and 0.0 stay
+    apart), in order of first occurrence (C order), and the index array
+    ``at`` of the shape of ``t`` with values[at] equal to ``t`` bit for
+    bit."""
+    flat = np.ravel(t)
+    _, first, inverse = np.unique(flat.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    return flat[first[order]], np.argsort(order)[inverse].reshape(t.shape)
 
 
 def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec,
                 half: bool = False):
     """Yield the scaling-equation piece of each grid lambda in scan order,
     over the (x, y) grid with x on axis 0, or with ``half`` over its upper
-    triangle x <= y as flat arrays in C order."""
+    triangle x <= y as flat arrays in C order.  The companion side reads
+    (x, y) only through T(x, y), so each slice evaluates it once per
+    distinct T value and gathers."""
     g = grid.axis()
     if half:
         i, j = np.triu_indices(g.size)
         x, y = g[i], g[j]
     else:
         x, y = g[:, None], g[None, :]
-    T_xy = tnorm_values(spec, x, y)
+    t, at = _distinct(tnorm_values(spec, x, y))
     for lam in g:
-        yield _scaling_piece(spec, comp, lam, x, y, T_xy)
+        yield _scaling_piece(spec, comp, lam, x, y, t, at)
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -321,6 +336,10 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     ``symmetric`` spec both sides are unchanged by swapping x and y, bit
     for bit, so each l slice sweeps only x <= y: the first maximal entry
     of a slice always lies there, and the witness is the full sweep's.
+    The grid sweep evaluates the companion once per distinct bit pattern
+    of T(x, y) and gathers, so every rhs is the direct evaluation's float;
+    the distinct values keep their first-occurrence order, so an
+    out-of-range companion value still names the first bad point.
     """
     comp = Canonical(spec) if f is None else f
 
@@ -328,7 +347,8 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
         yield from _gph_slices(spec, comp, grid, spec.symmetric)
         if grid.samples > 0:
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
-            yield _scaling_piece(spec, comp, lam, x, y, tnorm_values(spec, x, y))
+            yield _scaling_piece(spec, comp, lam, x, y,
+                                 tnorm_values(spec, x, y), ...)
 
     best_gap, best = _first_max(pieces())
     passed = best_gap <= grid.eq_tol
@@ -750,7 +770,7 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
         cases = [case for case, *_ in probes]
         lam, x, y = np.asarray([p[1:] for p in probes]).T
         gap, *slots = _scaling_piece(spec, Canonical(spec), lam, x, y,
-                                     tnorm_values(spec, x, y))
+                                     tnorm_values(spec, x, y), ...)
         rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
         targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
                     for row in rows]

@@ -248,11 +248,30 @@ HALF_SWEEP_CASES = (
     + [(Lukasiewicz(), Expr("max(x+x*y-1,0)")), (Product(), Expr("x*y"))])
 
 
+def full_cube_slices(spec, f, points):
+    """Each lambda slice of the full points^3 cube as (residual, lambda,
+    lhs, rhs) tables over the (x, y) grid, the companion evaluated on every
+    entry of T(x, y): a reference independent of the sweep engine."""
+    comp = Canonical(spec) if f is None else f
+    g = GridSpec(points=points).axis()
+    t = tnorm_values(spec, g[:, None], g[None, :])
+    for lam in g:
+        lhs = tnorm_values(spec, lam * g[:, None], lam * g[None, :])
+        rhs = companion_values(comp, lam, t)
+        yield np.abs(lhs - rhs), lam, lhs, rhs
+
+
 @lru_cache(maxsize=None)
 def full_cube_first_max(spec, f, points):
-    """The first maximal row of residual_rows, the full points^3 cube."""
-    rows = residual_rows(spec, f, GridSpec(points=points, samples=0))
-    return max(rows, key=itemgetter(5))
+    """(lambda, x, y, lhs, rhs, residual) at the first maximal residual of
+    the full cube, slices in lambda order and entries in C order."""
+    g = GridSpec(points=points).axis()
+    best = None
+    for res, lam, lhs, rhs in full_cube_slices(spec, f, points):
+        i, j = np.unravel_index(int(np.argmax(res)), res.shape)
+        if best is None or res[i, j] > best[5]:
+            best = (lam, g[i], g[j], lhs[i, j], rhs[i, j], res[i, j])
+    return tuple(float(v) for v in best)
 
 
 @pytest.mark.parametrize("points", [51, 151])
@@ -278,6 +297,53 @@ def test_gph_half_sweep_matches_full_cube(spec, f, points):
             assert (w.lam, w.x, w.y, w.lhs, w.rhs, w.gap) == row
 
 
+def test_residual_rows_match_full_cube():
+    """The CSV rows carry the full cube's values bit for bit, every
+    companion value evaluated directly."""
+    spec = ORDINAL_SUMS[2]
+    g = GridSpec(points=51).axis()
+    x, y = np.repeat(g, g.size), np.tile(g, g.size)
+    expected = [row
+                for res, lam, lhs, rhs in full_cube_slices(spec, None, 51)
+                for row in zip([float(lam)] * x.size, x.tolist(), y.tolist(),
+                               lhs.ravel().tolist(), rhs.ravel().tolist(),
+                               res.ravel().tolist())]
+    rows = list(residual_rows(spec, None, GridSpec(points=51, samples=0)))
+    assert rows == expected
+    assert max(rows, key=itemgetter(5)) == full_cube_first_max(spec, None, 51)
+
+
+@pytest.mark.parametrize("spec", [Minimum(), CShelf(0.5)], ids=["min", "cshelf"])
+def test_gph_evaluates_companion_once_per_distinct_t(monkeypatch, spec):
+    """T takes 151 distinct values on the 151-point grid for min and
+    cshelf, so no companion call of the sweep sees more elements."""
+    largest = 0
+
+    def recording(f, x, y):
+        nonlocal largest
+        out = companion_values(f, x, y)
+        largest = max(largest, out.size)
+        return out
+
+    monkeypatch.setattr(an, "companion_values", recording)
+    report = check_gph(spec, None, GridSpec(points=151, samples=0))
+    assert report.passed
+    assert 0 < largest <= 151
+
+
+def test_distinct_keeps_bit_patterns_in_first_occurrence_order():
+    t = np.array([0.5, -0.0, 0.0, 0.5, 1.0])
+    values, at = an._distinct(t)
+    assert values.view(np.int64).tolist() == \
+        np.array([0.5, -0.0, 0.0, 1.0]).view(np.int64).tolist()
+    assert at.tolist() == [0, 1, 2, 0, 3]
+    assert values[at].view(np.int64).tolist() == t.view(np.int64).tolist()
+    table = np.array([[0.25, 0.0], [0.25, 1.0]])
+    values, at = an._distinct(table)
+    assert at.shape == table.shape
+    assert np.array_equal(values[at], table)
+
+
 def test_gph_expr_sweeps_full_cube():
     """x^3*y is not symmetric: its largest residual at 51 points lies below
     the diagonal, and the upper triangle's is 2.220446049250313e-16."""
@@ -293,6 +359,20 @@ def test_gph_expr_companion_domain_error_text():
             " (x, y) = (0.25, 0.375): 1.3125")):
         check_gph(Product(), Expr("min(1,2*y)*(1+x*(1-x)*4)"),
                   GridSpec(points=5))
+
+
+@pytest.mark.parametrize("spec,f,points,point", [
+    (Product(), "min(1,2*y)*(1+x*(1-x)*4)", 51, "(0.02, 0.4704): 1.01455872"),
+    (Lukasiewicz(), "x-y", 11,
+     "(0.0, 0.10000000000000009): -0.10000000000000009"),
+], ids=["prod-51", "luk-11"])
+def test_gph_expr_companion_domain_error_names_first_point(spec, f, points,
+                                                            point):
+    """Evaluated once per distinct T(x, y) in order of first occurrence,
+    the companion still fails at the first bad point in C order."""
+    with pytest.raises(DomainError, match=re.escape(
+            f"companion expression evaluates outside [0, 1] at (x, y) = {point}")):
+        check_gph(spec, Expr(f), GridSpec(points=points))
 
 
 def test_gph_deterministic_reports(grid):
