@@ -4,14 +4,17 @@ Given any t-norm description that passes the axiom suite, decide which
 catalog family it is (estimating the exponent or the shelf edge where the
 family is parametric) or certify NotGPH with a scaling-equation witness.
 
-Decision procedure, in order: identity diagonal (Minimum); zero diagonal
-on the interior (Drastic); zero plateau followed by identity (CShelf, edge
-refined by bisection); pointwise product match (Product); exponent fit
-(Schweizer-Sklar, sign of the fitted exponent picks the branch).  A branch
-only nominates a candidate: the verdict always comes from the residual
-against the exact family member on a validation lattice offset from the
-decision grid, so a parametric family is never returned with validation
-residual above eq_tol.
+Decision procedure: a fixed table of estimators nominates candidates in
+order -- Minimum; Drastic; CShelf at the diagonal's jump point when the grid
+diagonal is a zero plateau followed by identity (edge refined by
+bisection); Product; Schweizer-Sklar at the fitted exponent (its sign picks
+the branch).  Validation decides: each candidate is compared with the spec
+on a validation lattice offset from the decision grid, and the first whose
+residual is within eq_tol is the verdict, so a parametric family is never
+returned with validation residual above eq_tol.  An estimator runs only
+when every earlier candidate has failed, so the fit costs nothing for the
+closed kinds.  When none passes, the verdict is NotGPH with the smallest
+validation residual and a scaling-equation witness.
 
 The exponent fit solves, per sample (x, y, t = T(x, y)), the root problem
 x^b + y^b - 1 - t^b = 0 over [-60, -1e-3] u [1e-3, 60] (b = 0 is always a
@@ -27,9 +30,8 @@ max{., 0} fold.
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -83,8 +85,8 @@ class FitError(Exception):
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    family: str  # Minimum | SchweizerSklarPos | Product | SchweizerSklarNeg
-    #             | CShelf | Drastic | NotGPH
+    family: str  # the validated candidate's kind, SchweizerSklar with Pos or
+    #             Neg by the sign of beta; NotGPH when no candidate validates
     parameter: Optional[float]
     residual: float
     evidence: tuple
@@ -201,6 +203,54 @@ def _validation_test(family: str) -> str:
     return "validate_" + re.sub(r"(?<=[a-z])(?=[A-Z])", "_", family).lower()
 
 
+def _shelf_edge(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
+    """CShelf at the diagonal's jump point when the grid diagonal is a zero
+    plateau followed by identity; nothing otherwise."""
+    g = grid.axis()
+    _, shelf = diagonal_shelf(g, tnorm_values(spec, g, g), grid.eq_tol)
+    if shelf is None:
+        return []
+    return [CShelf(_bisect_diagonal(spec, grid.eq_tol, *shelf, grid.step_h))]
+
+
+def _exponent_fit(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
+    """SchweizerSklar at the fitted exponent; records the fit as evidence."""
+    try:
+        samples = _draw_fit_samples(spec, grid)
+        beta_hat = fit_beta_from_triples(samples)
+    except FitError as err:
+        evidence.append({"test": "beta_fit", "passed": False,
+                         "detail": {"error": str(err)}})
+        return []
+    evidence.append({"test": "beta_fit", "passed": True,
+                     "detail": {"beta_hat": beta_hat,
+                                "samples": int(len(samples))}})
+    return [SchweizerSklar(beta_hat)]
+
+
+#: Each estimator takes (spec, grid, evidence) and returns zero or more
+#: candidate specs.  Their order, not CATALOG_KINDS's, decides which of two
+#: passing candidates wins.
+_ESTIMATORS = (
+    lambda *_: [Minimum()],
+    lambda *_: [Drastic()],
+    _shelf_edge,
+    lambda *_: [Product()],
+    _exponent_fit,
+)
+
+
+def _verdict(candidate: TNormSpec) -> tuple[str, Optional[float]]:
+    """Family and parameter of a candidate: its kind, with the
+    Schweizer-Sklar branch given by the sign of the exponent, and its single
+    field, or None for a kind without one."""
+    family = type(candidate).__name__
+    if isinstance(candidate, SchweizerSklar):
+        family += "Pos" if candidate.beta > 0 else "Neg"
+    (parameter,) = [getattr(candidate, f.name) for f in fields(candidate)] or [None]
+    return family, parameter
+
+
 def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
              assoc_full: bool = False) -> ClassificationResult:
     """Identify the family of ``spec`` (see module docstring).
@@ -218,84 +268,22 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
             f"axiom suite failed ({axioms.metadata['failed_axiom']}): "
             f"{axioms.summary()}")
 
-    g = grid.axis()
-    x, y = g[:, None], g[None, :]
-    T = tnorm_values(spec, x, y)
-    d = np.diagonal(T)
     lattice = grid.validation_axis()
     vx, vy = lattice[:, None], lattice[None, :]
     T_valid = tnorm_values(spec, vx, vy)
-    residuals: dict[str, float] = {}  # family -> its validation residual
-
-    def validated(family: str, candidate: TNormSpec,
-                  parameter: Optional[float]) -> Optional[ClassificationResult]:
-        residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
-        residuals[family] = residual
-        ok = residual <= grid.eq_tol
-        evidence.append({"test": _validation_test(family), "passed": ok,
-                         "detail": {"candidate": spec_label(candidate),
-                                    "residual": residual}})
-        if ok:
-            return ClassificationResult(family, parameter, residual,
-                                        tuple(evidence))
-        return None
-
-    # (1) identity diagonal -> Minimum
-    idempotent = bool(np.abs(d - g).max() <= grid.strict_tol)
-    evidence.append({"test": "idempotent_diagonal", "passed": idempotent,
-                     "detail": {"max_deviation": float(np.abs(d - g).max())}})
-    if idempotent and (result := validated("Minimum", Minimum(), None)):
-        return result
-
-    # (2) diagonal structure: all-zero interior -> Drastic,
-    #     zero plateau then identity -> CShelf
-    zero_interior, shelf = diagonal_shelf(g, d, grid.eq_tol)
-    evidence.append({"test": "zero_diagonal", "passed": zero_interior,
-                     "detail": {}})
-    if zero_interior and (result := validated("Drastic", Drastic(), None)):
-        return result
-
-    shelf_edge = None
-    if shelf is not None:
-        # the diagonal's jump point: zero at the plateau end, identity after
-        shelf_edge = _bisect_diagonal(spec, grid.eq_tol, *shelf, grid.step_h)
-    evidence.append({"test": "shelf_pattern", "passed": shelf_edge is not None,
-                     "detail": {"shelf_edge": shelf_edge}})
-    if shelf_edge is not None and (
-            result := validated("CShelf", CShelf(shelf_edge), shelf_edge)):
-        return result
-
-    # (3) pointwise product
-    prod_dev = float(np.abs(T - x * y).max())
-    product_match = prod_dev <= grid.eq_tol
-    evidence.append({"test": "product_match", "passed": product_match,
-                     "detail": {"max_deviation": prod_dev}})
-    if product_match and (result := validated("Product", Product(), None)):
-        return result
-
-    # (4) exponent fit
-    beta_hat = None
-    try:
-        samples = _draw_fit_samples(spec, grid)
-        beta_hat = fit_beta_from_triples(samples)
-        evidence.append({"test": "beta_fit", "passed": True,
-                         "detail": {"beta_hat": beta_hat,
-                                    "samples": int(len(samples))}})
-    except FitError as err:
-        evidence.append({"test": "beta_fit", "passed": False,
-                         "detail": {"error": str(err)}})
-    if beta_hat is not None:
-        family = "SchweizerSklarPos" if beta_hat > 0 else "SchweizerSklarNeg"
-        if result := validated(family, SchweizerSklar(beta_hat), beta_hat):
-            return result
-
-    # NotGPH: record how far the closed kinds are and certify with a witness
-    for family, candidate in (("Minimum", Minimum()), ("Product", Product()),
-                              ("Drastic", Drastic())):
-        if family not in residuals:
-            # a branch predicate was too strict; the residual rules
-            if result := validated(family, candidate, None):
-                return result
+    residuals: list[float] = []
+    for estimate in _ESTIMATORS:
+        for candidate in estimate(spec, grid, evidence):
+            family, parameter = _verdict(candidate)
+            residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
+            residuals.append(residual)
+            passed = residual <= grid.eq_tol
+            evidence.append({"test": _validation_test(family), "passed": passed,
+                             "detail": {"candidate": spec_label(candidate),
+                                        "residual": residual}})
+            if passed:
+                return ClassificationResult(family, parameter, residual,
+                                            tuple(evidence))
 
     counterexample = find_gph_counterexample(spec, grid)
     evidence.append({
@@ -306,6 +294,4 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                    "max_residual": counterexample.max_residual},
     })
 
-    return ClassificationResult("NotGPH", None,
-                                min(residuals.values(), default=math.inf),
-                                tuple(evidence))
+    return ClassificationResult("NotGPH", None, min(residuals), tuple(evidence))

@@ -219,6 +219,67 @@ def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):
     assert len(calls) == 1
 
 
+# The tests each verdict lists, in order: every candidate validated up to the
+# first that passes, the fit where it ran, the witness on NotGPH.
+EVIDENCE_TESTS = {
+    "min": ["axioms", "validate_minimum"],
+    "cshelf:0.5": ["axioms", "validate_minimum", "validate_drastic",
+                   "validate_cshelf"],
+    "ss:2": ["axioms", "validate_minimum", "validate_drastic",
+             "validate_product", "beta_fit", "validate_schweizer_sklar_pos"],
+    "osum:[0.2,0.6,luk;0.6,1,prod]": [
+        "axioms", "validate_minimum", "validate_drastic", "validate_product",
+        "beta_fit", "validate_schweizer_sklar_neg", "gph_counterexample"],
+}
+
+
+@pytest.mark.parametrize("token", list(EVIDENCE_TESTS))
+def test_classify_evidence_lists_candidates_in_order(token, grid):
+    result = classify(parse_spec(token), grid)
+    assert [e["test"] for e in result.evidence] == EVIDENCE_TESTS[token]
+
+
+@pytest.mark.parametrize("token,fits", [("min", 0), ("prod", 0),
+                                        ("drastic", 0), ("cshelf:0.5", 0),
+                                        ("ss:2", 1)])
+def test_classify_fits_only_after_cheaper_candidates_fail(token, fits, grid,
+                                                          monkeypatch):
+    calls = []
+
+    def recording(spec, grid):
+        calls.append(spec)
+        return _draw_fit_samples(spec, grid)
+
+    monkeypatch.setattr(classify_module, "_draw_fit_samples", recording)
+    classify(parse_spec(token), grid)
+    assert len(calls) == fits
+
+
+#: absolute tolerance on a recovered parameter, as in bench/oracle.py.
+PARAM_TOL = 2e-6
+
+
+# Verdicts that are wrong at the default grid: exponents the fit cannot
+# reach, shelf edges inside a boundary cell or on a grid point, and a
+# summand the validation lattice never enters.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4/5")
+@pytest.mark.parametrize("token,family,parameter", [
+    ("ss:30", "SchweizerSklarPos", 30.0),
+    ("ss:-45", "SchweizerSklarNeg", -45.0),
+    ("ss:-0.001", "SchweizerSklarNeg", -0.001),
+    ("cshelf:0.005", "CShelf", 0.005),
+    ("cshelf:0.01", "CShelf", 0.01),
+    ("cshelf:0.995", "CShelf", 0.995),
+    ("cshelf:0.999", "CShelf", 0.999),
+    ("osum:[0.5,0.502,drastic]", "NotGPH", None),
+])
+def test_classify_known_wrong_verdict(token, family, parameter, grid):
+    result = classify(parse_spec(token), grid)
+    assert result.family == family
+    if parameter is not None:
+        assert abs(result.parameter - parameter) <= PARAM_TOL
+
+
 def test_classify_requires_axioms(grid):
     with pytest.raises(PreconditionError):
         classify(Expr("x*y/2"), grid)
