@@ -62,6 +62,7 @@ __all__ = [
     "check_continuity_equivalence",
     "find_gph_counterexample",
     "residual_rows",
+    "residual_csv",
 ]
 
 #: adjacent-cell jump beyond CONTINUITY_JUMP_FACTOR * spacing counts as a
@@ -812,3 +813,19 @@ def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
     for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
         yield from zip(repeat(float(lam)), flat_x, flat_y, np.ravel(lhs).tolist(),
                        np.ravel(rhs).tolist(), np.ravel(res).tolist())
+
+
+def residual_csv(spec: TNormSpec, f: Optional[CompanionF],
+                 grid: GridSpec = GridSpec()):
+    """The rows of :func:`residual_rows` as CSV text: the header line, then
+    one chunk per lambda slice.  Every float is written by ``repr``, once
+    per distinct bit pattern in the slice, and gathered into the rows."""
+    comp = Canonical(spec) if f is None else f
+    axis = [repr(v) for v in grid.axis().tolist()]
+    rows = [f",{x},{y},%s,%s,%s\n" for x in axis for y in axis]
+    yield RESIDUAL_CSV_HEADER + "\n"
+    for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
+        values, at = _distinct(np.stack([lhs, rhs, res], axis=-1))
+        text = np.array([repr(v) for v in values.tolist()], dtype=object)[at]
+        head = repr(float(lam))
+        yield (head + head.join(rows)) % tuple(text.ravel().tolist())

@@ -34,18 +34,16 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import dsl
 from .analysis import (
-    RESIDUAL_CSV_HEADER,
     GridSpec,
     Report,
     check_gph,
     check_unit_scale,
     find_gph_counterexample,
-    residual_rows,
+    residual_csv,
 )
 from .classify import PreconditionError, classify
 from .core import (
@@ -98,22 +96,15 @@ def _write(args, chunks: Iterable[str]) -> None:
         # still stands.  Point stdout at devnull so the interpreter's final
         # flush of the unsent rest cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _csv_chunks(spec, companion, grid: GridSpec) -> Iterator[str]:
-    """The residual CSV, one chunk per lambda slice after the header."""
-    yield RESIDUAL_CSV_HEADER + "\n"
-    rows = residual_rows(spec, companion, grid)
-    while chunk := "".join(f"{lam!r},{x!r},{y!r},{lhs!r},{rhs!r},{res!r}\n"
-                           for lam, x, y, lhs, rhs, res
-                           in islice(rows, grid.points ** 2)):
-        yield chunk
+    except OSError as err:
+        # an unwritable --out (no such directory, a directory) is a usage error
+        raise OSError(f"cannot write {args.out or 'stdout'}: {err.strerror}") from err
 
 
 def _emit_report(args, report: Report, spec=None, companion=None,
                  grid: Optional[GridSpec] = None) -> None:
     if args.csv:
-        _write(args, _csv_chunks(spec, companion, grid))
+        _write(args, residual_csv(spec, companion, grid))
     else:
         _write(args, [report.to_json() if args.json else report.summary()])
 
@@ -306,7 +297,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except dsl.ParseError as err:
         print(f"tnormlab: expression error {err}", file=sys.stderr)
         return 2
-    except (dsl.EvalError, DomainError, PreconditionError, ValueError) as err:
+    except (dsl.EvalError, DomainError, PreconditionError, ValueError,
+            OSError) as err:
         print(f"tnormlab: {err}", file=sys.stderr)
         return 2
 

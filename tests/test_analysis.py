@@ -22,6 +22,7 @@ from tnormlab.analysis import (
     find_gph_counterexample,
     reconstruct_t_from_f,
     reconstruct_values,
+    residual_csv,
     residual_rows,
     scan_diagonal,
 )
@@ -780,6 +781,23 @@ def test_residual_rows_header_and_arity():
     assert len(rows) == 5 ** 3
     assert all(len(r) == 6 for r in rows)
     assert max(r[5] for r in rows) == 0.0
+
+
+@pytest.mark.parametrize("tnorm, f", [
+    ("ss:-1", None),
+    ("expr:x*y/(2-(x+y-x*y))", None),  # Einstein: no symmetric half-sweep
+    ("osum:[0.2,0.6,luk;0.6,1,prod]", None),
+    ("prod", Expr("x*y")),
+    # rhs is -0.0 on every row and lhs is 0.0 at lambda = 0: the dedupe
+    # must keep the two zeros apart by bit pattern
+    ("min", Expr("-(0*x)")),
+], ids=["ss:-1", "einstein", "osum", "prod-xy", "min-negzero"])
+def test_residual_csv_is_repr_of_residual_rows(tnorm, f):
+    spec, grid = parse_spec(tnorm), GridSpec(points=21, samples=0)
+    expected = an.RESIDUAL_CSV_HEADER + "\n" + "".join(
+        f"{lam!r},{x!r},{y!r},{lhs!r},{rhs!r},{res!r}\n"
+        for lam, x, y, lhs, rhs, res in residual_rows(spec, f, grid))
+    assert "".join(residual_csv(spec, f, grid)) == expected
 
 
 # --------------------------------------------------------------------------

@@ -198,6 +198,39 @@ def test_out_file(tmp_path, capsys):
 # Error paths -> exit 2
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["verify", "--tnorm", "min", "--points", "5", "--samples", "0", "--csv"],
+], ids=["catalog", "verify-csv"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    target = tmp_path / "no" / "x.out" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("tnormlab: cannot write ")
+    assert len(err.splitlines()) == 1
+
+
+PARTIAL_CSV = ["verify", "--tnorm", "min", "--f-expr=y*y+8*max(x-0.5,0)*(1-x)",
+               "--points", "11", "--samples", "0", "--csv"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_mid_sweep_error_keeps_earlier_slices(tmp_path, capsys, to_file):
+    """The companion leaves [0, 1] first at lambda = 0.6: the header and
+    the rows of lambda = 0 ... 0.5 stay written, and the run exits 2."""
+    target = tmp_path / "rows.csv"
+    code, out, err = run(capsys, *PARTIAL_CSV,
+                         *(["--out", str(target)] if to_file else []))
+    lines = (target.read_text() if to_file else out).splitlines()
+    assert code == 2
+    assert not to_file or out == ""
+    assert lines[0] == "lambda,x,y,lhs,rhs,residual"
+    assert len(lines) == 1 + 6 * 11 ** 2
+    assert lines[-1].startswith("0.5,1.0,1.0,")
+    assert len(err.splitlines()) == 1
+    assert "(0.6000000000000001, 0.9)" in err
+
 def test_unknown_spec_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--tnorm", "nope", "--x", "0", "--y", "0")
     assert code == 2
