@@ -75,6 +75,11 @@ CONTINUITY_JUMP_FACTOR = 10.0
 #: axis points; finer grids fall back to this cap plus random triples.
 ASSOC_GRID_CAP = 41
 
+#: the most triples one kernel call of a blocked sweep (the scaling
+#: equation's lambda slices, the T2 cube's x rows) evaluates, unless a
+#: single slice or row holds more: 128 KiB per float64 temporary.
+_BLOCK = 2 ** 14
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -213,7 +218,8 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
     Stages run in the order T4, T1, T3, T2 and the first violating point
     becomes the witness.  Associativity uses the full triple cube only up
     to ASSOC_GRID_CAP axis points (or with ``assoc_full``); beyond that a
-    capped cube plus seeded random triples.
+    capped cube plus seeded random triples.  The cube is evaluated in
+    blocks of at most ``max(2**14, points**2)`` triples.
     """
     g = grid.axis()
     tol = grid.strict_tol
@@ -229,11 +235,10 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
     samples_used = grid.samples if n < grid.points else 0
 
     def assoc():
-        """T2 pieces: the cube in blocks of x rows, each at most
-        ASSOC_GRID_CAP^3 triples, then random triples extending a capped
-        cube."""
+        """T2 pieces: the cube in blocks of x rows, each at most _BLOCK
+        triples or one row, then random triples extending a capped cube."""
         T_ab = tnorm_values(spec, axis[:, None], axis[None, :])
-        rows = max(1, ASSOC_GRID_CAP ** 3 // n ** 2)
+        rows = max(1, _BLOCK // n ** 2)
         for start in range(0, n, rows):
             a = axis[start:start + rows, None, None]
             lhs = tnorm_values(spec, a, T_ab[None, :, :])
@@ -287,12 +292,19 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # Scaling-equation sweeps
 # --------------------------------------------------------------------------
 
-def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t, at):
+def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t,
+                   at=None):
     """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
-    equation, lhs = T(l*x, l*y) and rhs = F(l, t)[at], where t[at] =
-    T(x, y); ``at`` is ``...`` when ``t`` is T(x, y) itself."""
+    equation, lhs = T(l*x, l*y) and rhs = F(l, T(x, y)).  With ``at``
+    omitted ``t`` is T(x, y) itself; otherwise ``lam`` is a block of
+    lambdas on a leading axis, ``t`` holds distinct values with t[at] =
+    T(x, y), and each lambda's row of F(l, t) is gathered at ``at``."""
     lhs = tnorm_values(spec, lam * x, lam * y)
-    rhs = companion_values(comp, lam, t)[at]
+    if at is None:
+        rhs = companion_values(comp, lam, t)
+    else:
+        rhs = np.take(companion_values(comp, np.reshape(lam, (-1, 1)), t),
+                      at, axis=1)
     return np.abs(lhs - rhs), lam, x, y, lhs, rhs
 
 
@@ -310,11 +322,14 @@ def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec,
                 half: bool = False):
-    """Yield the scaling-equation piece of each grid lambda in scan order,
+    """Yield the scaling-equation pieces of the grid lambdas in scan order,
     over the (x, y) grid with x on axis 0, or with ``half`` over its upper
-    triangle x <= y as flat arrays in C order.  The companion side reads
-    (x, y) only through T(x, y), so each slice evaluates it once per
-    distinct T value and gathers."""
+    triangle x <= y as flat arrays in C order.  Each piece is a block of
+    consecutive lambda slices on a leading axis, at most _BLOCK triples or
+    one slice.  The companion side reads (x, y) only through T(x, y), so
+    each slice evaluates it once per distinct T value and gathers.  When a
+    block raises, its slices are swept again one at a time, so the error
+    is the one the first failing slice raises on its own."""
     g = grid.axis()
     if half:
         i, j = np.triu_indices(g.size)
@@ -322,8 +337,17 @@ def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec,
     else:
         x, y = g[:, None], g[None, :]
     t, at = _distinct(tnorm_values(spec, x, y))
-    for lam in g:
-        yield _scaling_piece(spec, comp, lam, x, y, t, at)
+    lams = g.reshape((-1,) + (1,) * x.ndim)
+    step = max(1, _BLOCK // at.size)
+    for start in range(0, g.size, step):
+        block = lams[start:start + step]
+        try:
+            piece = _scaling_piece(spec, comp, block, x, y, t, at)
+        except Exception:
+            for k in range(len(block)):
+                yield _scaling_piece(spec, comp, block[k:k + 1], x, y, t, at)
+        else:
+            yield piece
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -337,10 +361,13 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     ``symmetric`` spec both sides are unchanged by swapping x and y, bit
     for bit, so each l slice sweeps only x <= y: the first maximal entry
     of a slice always lies there, and the witness is the full sweep's.
-    The grid sweep evaluates the companion once per distinct bit pattern
-    of T(x, y) and gathers, so every rhs is the direct evaluation's float;
-    the distinct values keep their first-occurrence order, so an
-    out-of-range companion value still names the first bad point.
+    The grid sweep evaluates consecutive l slices together, in blocks of
+    at most 2**14 triples (one slice when it holds more), and the
+    companion once per distinct bit pattern of T(x, y) per l, gathered,
+    so every rhs is the direct evaluation's float.  The distinct values
+    keep their first-occurrence order and a block that raises is swept
+    again slice by slice, so an out-of-range companion value still names
+    the first bad point.
     """
     comp = Canonical(spec) if f is None else f
 
@@ -349,7 +376,7 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
         if grid.samples > 0:
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
             yield _scaling_piece(spec, comp, lam, x, y,
-                                 tnorm_values(spec, x, y), ...)
+                                 tnorm_values(spec, x, y))
 
     best_gap, best = _first_max(pieces())
     passed = best_gap <= grid.eq_tol
@@ -771,7 +798,7 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
         cases = [case for case, *_ in probes]
         lam, x, y = np.asarray([p[1:] for p in probes]).T
         gap, *slots = _scaling_piece(spec, Canonical(spec), lam, x, y,
-                                     tnorm_values(spec, x, y), ...)
+                                     tnorm_values(spec, x, y))
         rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
         targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
                     for row in rows]
@@ -802,17 +829,25 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
 RESIDUAL_CSV_HEADER = "lambda,x,y,lhs,rhs,residual"
 
 
+def _residual_slices(spec: TNormSpec, f: Optional[CompanionF],
+                     grid: GridSpec):
+    """(lambda, lhs, rhs, residual) of each grid lambda in scan order, the
+    tables over the full (x, y) grid."""
+    comp = Canonical(spec) if f is None else f
+    for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
+        yield from zip(np.ravel(lam).tolist(), lhs, rhs, res)
+
+
 def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
                   grid: GridSpec = GridSpec()):
     """Yield (lambda, x, y, lhs, rhs, residual) for every grid triple, in
-    scan order.  Streams one lambda slice at a time."""
-    comp = Canonical(spec) if f is None else f
+    scan order.  Streams one block of lambda slices at a time."""
     g = grid.axis()
     flat_x = np.repeat(g, g.size).tolist()
     flat_y = np.tile(g, g.size).tolist()
-    for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
-        yield from zip(repeat(float(lam)), flat_x, flat_y, np.ravel(lhs).tolist(),
-                       np.ravel(rhs).tolist(), np.ravel(res).tolist())
+    for lam, lhs, rhs, res in _residual_slices(spec, f, grid):
+        yield from zip(repeat(lam), flat_x, flat_y, lhs.ravel().tolist(),
+                       rhs.ravel().tolist(), res.ravel().tolist())
 
 
 def residual_csv(spec: TNormSpec, f: Optional[CompanionF],
@@ -820,12 +855,13 @@ def residual_csv(spec: TNormSpec, f: Optional[CompanionF],
     """The rows of :func:`residual_rows` as CSV text: the header line, then
     one chunk per lambda slice.  Every float is written by ``repr``, once
     per distinct bit pattern in the slice, and gathered into the rows."""
-    comp = Canonical(spec) if f is None else f
     axis = [repr(v) for v in grid.axis().tolist()]
     rows = [f",{x},{y},%s,%s,%s\n" for x in axis for y in axis]
     yield RESIDUAL_CSV_HEADER + "\n"
-    for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
-        values, at = _distinct(np.stack([lhs, rhs, res], axis=-1))
-        text = np.array([repr(v) for v in values.tolist()], dtype=object)[at]
-        head = repr(float(lam))
-        yield (head + head.join(rows)) % tuple(text.ravel().tolist())
+    for lam, *sides in _residual_slices(spec, f, grid):
+        bits, at = np.unique(np.stack(sides, axis=-1).ravel().view(np.int64),
+                             return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                        dtype=object)[at]
+        head = repr(lam)
+        yield (head + head.join(rows)) % tuple(text.tolist())

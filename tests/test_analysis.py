@@ -1,7 +1,9 @@
+import hashlib
 import math
 import re
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import lru_cache
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -43,6 +45,7 @@ from tnormlab.core import (
     parse_spec,
     tnorm_values,
 )
+from tnormlab.dsl import EvalError
 
 from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
 
@@ -134,9 +137,10 @@ def test_assoc_full_cube_evaluated_in_bounded_blocks(monkeypatch):
         return out
 
     monkeypatch.setattr(an, "tnorm_values", recording)
-    report = check_axioms(SchweizerSklar(-1), GridSpec(points=101), assoc_full=True)
-    assert report.metadata["assoc_points"] == 101
-    assert largest <= an.ASSOC_GRID_CAP ** 3
+    n = 101
+    report = check_axioms(SchweizerSklar(-1), GridSpec(points=n), assoc_full=True)
+    assert report.metadata["assoc_points"] == n
+    assert largest <= max(an._BLOCK, n ** 2)
 
 
 def test_assoc_blocks_keep_the_whole_cube_witness():
@@ -316,20 +320,137 @@ def test_residual_rows_match_full_cube():
 
 @pytest.mark.parametrize("spec", [Minimum(), CShelf(0.5)], ids=["min", "cshelf"])
 def test_gph_evaluates_companion_once_per_distinct_t(monkeypatch, spec):
-    """T takes 151 distinct values on the 151-point grid for min and
-    cshelf, so no companion call of the sweep sees more elements."""
-    largest = 0
+    """T takes at most `points` distinct values on the grid for min and
+    cshelf.  The sweep evaluates the companion once per distinct T per
+    lambda: three 5,151-triple slices a call at 101 points, one
+    11,476-triple slice a call at 151 points."""
+    sizes = []
 
     def recording(f, x, y):
-        nonlocal largest
         out = companion_values(f, x, y)
-        largest = max(largest, out.size)
+        sizes.append(out.size)
         return out
 
     monkeypatch.setattr(an, "companion_values", recording)
-    report = check_gph(spec, None, GridSpec(points=151, samples=0))
-    assert report.passed
-    assert 0 < largest <= 151
+    for points, per_call in ((101, 3), (151, 1)):
+        sizes.clear()
+        grid = GridSpec(points=points, samples=0)
+        assert check_gph(spec, None, grid).passed
+        g = grid.axis()
+        distinct = an._distinct(tnorm_values(spec, g[:, None], g[None, :]))[0]
+        assert 0 < distinct.size <= points
+        assert an._BLOCK // (points * (points + 1) // 2) == per_call
+        assert len(sizes) == -(-points // per_call)
+        assert sum(sizes) == points * distinct.size
+
+
+#: (t-norm token, Expr companion or None) pairs swept against the slice by
+#: slice reference: catalog kinds, a 3-summand ordinal sum, Hamacher as an
+#: expression (not symmetric: the full cube) and an Expr companion.
+BLOCK_CASES = [
+    ("ss:-2", None), ("ss:3", None), ("luk", None), ("cshelf:0.25", None),
+    ("drastic", None), ("osum:[0.1,0.3,prod;0.4,0.7,luk;0.8,0.95,ss:2]", None),
+    ("expr:x*y/max(x+y-x*y,1e-300)", None), ("prod", "x*y")]
+BLOCK_IDS = ["ss:-2", "ss:3", "luk", "cshelf", "drastic", "osum3", "hamacher",
+             "prod-xy"]
+
+
+def sliced_gph_slices(spec, comp, grid, half=False):
+    """The scaling-equation sweep one lambda at a time, both sides evaluated
+    on every entry of the slice: a reference for the blocked sweep, in the
+    piece shape of ``_gph_slices`` (a leading axis of one lambda)."""
+    g = grid.axis()
+    if half:
+        i, j = np.triu_indices(g.size)
+        x, y = g[i], g[j]
+    else:
+        x, y = g[:, None], g[None, :]
+    t = tnorm_values(spec, x, y)
+    for lam in g.reshape((-1, 1) + (1,) * x.ndim):
+        lhs = tnorm_values(spec, lam * x, lam * y)
+        rhs = companion_values(comp, lam, t)
+        yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
+
+
+def rows_digest(rows) -> str:
+    """sha256 of the float bits of ``rows`` of six floats, in order."""
+    h = hashlib.sha256()
+    while (chunk := np.fromiter(chain.from_iterable(islice(rows, 8192)),
+                                np.float64)).size:
+        h.update(chunk.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("points", [11, 51, 101])
+@pytest.mark.parametrize("tnorm,f", BLOCK_CASES, ids=BLOCK_IDS)
+def test_blocked_sweep_matches_slice_by_slice(monkeypatch, tnorm, f, points):
+    """Blocks of lambda slices give the reports and rows of the slice by
+    slice sweep bit for bit.  The least positive eq_tol gives every nonzero
+    residual a witness; the seeded samples are on."""
+    spec, comp = parse_spec(tnorm), None if f is None else Expr(f)
+    grid = GridSpec(points=points, eq_tol=5e-324)
+
+    def sweep():
+        return (check_gph(spec, comp, grid).to_json(),
+                rows_digest(residual_rows(spec, comp, grid)))
+
+    blocked = sweep()
+    monkeypatch.setattr(an, "_gph_slices", sliced_gph_slices)
+    assert sweep() == blocked
+
+
+def test_blocked_sweep_witness_in_a_later_slice_of_its_block():
+    """At 101 points a block holds three 5,151-triple slices; the 3-summand
+    ordinal sum of BLOCK_CASES has its witness in the third slice of the
+    block for lambda = 0.72, 0.73, 0.74."""
+    grid = GridSpec(points=101)
+    w = check_gph(parse_spec(BLOCK_CASES[5][0]), None, grid).witness
+    k = int(np.flatnonzero(grid.axis() == w.lam)[0])
+    assert an._BLOCK // 5151 == 3
+    assert (k, k % 3) == (74, 2)
+
+
+def test_mid_block_error_is_the_first_failing_slice():
+    """At 11 points the whole sweep is one block.  There the companion's
+    first division fails first, at x = 0.5; slice by slice, the lambda =
+    0.4 slice fails first, in the second division.  The block is swept
+    again slice by slice, so the error and the partial CSV are the
+    sequential ones: the header and the 4 x 121 rows of lambda < 0.4."""
+    f = Expr("x*y + 0*(1/(x-0.5)) + 0*(1/(x-0.4))")
+    grid = GridSpec(points=11, samples=0)
+    error = re.escape("division by zero in (1.0 / (x - 0.4)) at (x, y) = (0.4, 0.0)")
+    with pytest.raises(EvalError, match=error):
+        check_gph(Product(), f, grid)
+    chunks = []
+    with pytest.raises(EvalError, match=error):
+        for chunk in residual_csv(Product(), f, grid):
+            chunks.append(chunk)
+    lines = "".join(chunks).splitlines()
+    assert len(lines) == 1 + 484
+    assert lines[-1].startswith("0.30000000000000004,1.0,1.0,")
+
+
+@pytest.mark.parametrize("points", [11, 51, 101, 151])
+@pytest.mark.parametrize("tnorm,f", [BLOCK_CASES[i] for i in (0, 5, 6, 7)],
+                         ids=[BLOCK_IDS[i] for i in (0, 5, 6, 7)])
+def test_gph_kernel_calls_stay_within_one_block(monkeypatch, tnorm, f, points):
+    """No kernel call of check_gph evaluates more than _BLOCK elements, or
+    one slice where a slice holds more."""
+    spec, comp = parse_spec(tnorm), None if f is None else Expr(f)
+    sizes = []
+
+    def recording(kernel):
+        def call(*args):
+            out = kernel(*args)
+            sizes.append(out.size)
+            return out
+        return call
+
+    monkeypatch.setattr(an, "tnorm_values", recording(tnorm_values))
+    monkeypatch.setattr(an, "companion_values", recording(companion_values))
+    check_gph(spec, comp, GridSpec(points=points))
+    one_slice = points * (points + 1) // 2 if spec.symmetric else points ** 2
+    assert sizes and max(sizes) <= max(an._BLOCK, one_slice)
 
 
 def test_distinct_keeps_bit_patterns_in_first_occurrence_order():
