@@ -188,9 +188,9 @@ class SchweizerSklar(_Kind):
         with np.errstate(divide="ignore", over="ignore"):
             s = np.power(x, beta) + np.power(y, beta) - 1.0
         if beta > 0.0:
-            out = np.power(np.maximum(s, 0.0), inv)
-        else:
-            out = np.asarray(np.power(s, inv))
+            s = np.maximum(s, 0.0)
+        out = np.asarray(np.power(s, inv))
+        if beta < 0.0:
             # s = +inf where an argument is 0 (T = 0 already) or where x^b
             # overflowed; rescale the latter by the smaller argument, whose
             # power factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
@@ -201,8 +201,12 @@ class SchweizerSklar(_Kind):
                 big = np.maximum(x, y)[overflow]
                 bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
                 out[overflow] = m * np.power(bracket, inv)
-        out = np.where(y == 1.0, x, out)
-        out = np.where(x == 1.0, y, out)
+        # an argument equals 1 in a sweep only where l = 1, so the fix-up
+        # passes run only when there is something to fix
+        one_x, one_y = x == 1.0, y == 1.0
+        if one_x.any() or one_y.any():
+            out = np.where(one_y, x, out)
+            out = np.where(one_x, y, out)
         return _clamp_unit(out, f"SchweizerSklar(beta={beta})")
 
 
@@ -394,13 +398,17 @@ def _clamp_unit(values: np.ndarray, context: str) -> np.ndarray:
 
 def _expr_values(ast: Expression, x: np.ndarray, y: np.ndarray,
                  context: str) -> np.ndarray:
-    values = np.asarray(eval_expr(ast, x, y), dtype=np.float64)
-    bad = np.isnan(values) | (values < -CLAMP_SLACK) | (values > 1.0 + CLAMP_SLACK)
-    if np.any(bad):
+    values = eval_expr(ast, x, y)
+    if np.ndim(values) == 0:
+        values = np.float64(values)  # eval_expr gives 0-d inputs a float
+    try:
+        return _clamp_unit(values, context)
+    except DomainError:
+        # name the first offending point, found only once the range fails
+        bad = np.isnan(values) | (values < -CLAMP_SLACK) | (values > 1.0 + CLAMP_SLACK)
         px, py = dsl._first_bad_point(bad, x, y)
         raise DomainError(f"{context} evaluates outside [0, 1] at "
-                          f"(x, y) = ({px}, {py}): {float(values[bad][0])}")
-    return np.clip(values, 0.0, 1.0)
+                          f"(x, y) = ({px}, {py}): {float(values[bad][0])}") from None
 
 
 def tnorm_values(spec: TNormSpec, x, y) -> np.ndarray:

@@ -23,6 +23,14 @@ Evaluation follows IEEE-754 double semantics and is total except for three
 conditions, each reported as :class:`EvalError` naming the offending AST
 node: division by zero, zero raised to a negative power, and any NaN
 produced in the tree.  Both scalars and numpy arrays are accepted.
+
+Errors are detected once per evaluation.  The tree is evaluated without
+checking each node's value; a NaN is looked for only at the root and at
+the operands of each "^", the one operation that can absorb a NaN
+(nan^0 = 1^nan = 1), and zero divisors and zero to a negative power where
+they occur.  If any shows up, the tree is walked again with every node
+checked in evaluation order, so an error names the same node, kind and
+point as a node-by-node walk.
 """
 
 from __future__ import annotations
@@ -314,57 +322,91 @@ def _first_bad_point(mask, x, y) -> tuple[float, float]:
     return float(np.ravel(xb)[idx]), float(np.ravel(yb)[idx])
 
 
-def _check_nan(value, node: Expression, x, y):
-    bad = np.isnan(value)
-    if np.any(bad):
-        raise EvalError("nan", node, _first_bad_point(bad, x, y))
-    return value
+class _Recheck(Exception):
+    """Raised by the unchecked walk when the checked walk might raise."""
+
+
+def _has_nan(value) -> bool:
+    return bool(np.isnan(value).any())
+
+
+def _nan_below(node: Expression, value) -> bool:
+    """Whether ``value`` of ``node`` holds a NaN made by an operation, which
+    the checked walk reports; x and y pass their NaNs through unreported."""
+    return not isinstance(node, (Const, Var)) and _has_nan(value)
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _eval(node: Expression, x, y):
+def _eval(node: Expression, x, y, checked: bool):
+    """The value of ``node`` at (x, y).
+
+    The checked walk raises :class:`EvalError` at the first node, in
+    evaluation order, that divides by zero, raises zero to a negative power
+    or produces a NaN.  The unchecked walk looks only for what a NaN at the
+    root would not show, and raises :class:`_Recheck` at a zero divisor,
+    at zero to a negative power and at a NaN operand of "^", the one
+    operation that can absorb a NaN (nan^0 = 1^nan = 1).  Both compute
+    the same values with the same operations.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return x if node.name == "x" else y
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, y)
+        return -_eval(node.operand, x, y, checked)
+    if not isinstance(node, (Call, BinOp)):
+        raise TypeError(f"not an expression node: {node!r}")
+    a = _eval(node.left, x, y, checked)
+    b = _eval(node.right, x, y, checked)
     if isinstance(node, Call):
-        a = _eval(node.left, x, y)
-        b = _eval(node.right, x, y)
-        fn = np.minimum if node.func == "min" else np.maximum
-        return _check_nan(fn(a, b), node, x, y)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x, y)
-        b = _eval(node.right, x, y)
-        if node.op in _ARITH:
-            value = _ARITH[node.op](a, b)
-        elif node.op == "/":
-            zero = np.broadcast_to(np.asarray(b) == 0, np.broadcast(a, b).shape)
+        value = (np.minimum if node.func == "min" else np.maximum)(a, b)
+    elif node.op in _ARITH:
+        value = _ARITH[node.op](a, b)
+    elif node.op == "/":
+        zero = np.asarray(b) == 0
+        if checked:
+            zero = np.broadcast_to(zero, np.broadcast(a, b).shape)
             if np.any(zero):
                 raise EvalError("division_by_zero", node, _first_bad_point(zero, x, y))
-            value = a / b
-        else:  # "^"
-            bad = np.broadcast_to((np.asarray(a) == 0) & (np.asarray(b) < 0),
+        elif np.any(zero):
+            raise _Recheck
+        value = a / b
+    else:  # "^"
+        negative = np.asarray(b) < 0
+        if checked:
+            bad = np.broadcast_to((np.asarray(a) == 0) & negative,
                                   np.broadcast(a, b).shape)
             if np.any(bad):
                 raise EvalError("zero_to_negative_power", node,
                                 _first_bad_point(bad, x, y))
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                value = np.power(a, b)
-        return _check_nan(value, node, x, y)
-    raise TypeError(f"not an expression node: {node!r}")
+        elif (np.any(negative) and np.any((np.asarray(a) == 0) & negative)
+              or _nan_below(node.left, a) or _nan_below(node.right, b)):
+            raise _Recheck
+        value = np.power(a, b)
+    if checked and _has_nan(value):
+        raise EvalError("nan", node, _first_bad_point(np.isnan(value), x, y))
+    return value
 
 
 def eval_expr(node: Expression, x, y):
     """Evaluate ``node`` at (x, y); scalars in give a float out, arrays in
-    give an array out.  Deterministic: identical inputs produce identical
-    bits."""
+    give an array out, never ``x`` or ``y`` itself.  Deterministic:
+    identical inputs produce identical bits."""
     with np.errstate(all="ignore"):
-        value = _eval(node, x, y)
+        try:
+            value = _eval(node, x, y, False)
+            if _has_nan(value):
+                raise _Recheck
+        except _Recheck:
+            # evaluate again node by node: the error, if any, names the
+            # node and point that the node-by-node walk meets first
+            value = _eval(node, x, y, True)
     if np.ndim(value) == 0 and np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(value)
-    return np.broadcast_to(np.asarray(value, float),
-                           np.broadcast(np.asarray(x), np.asarray(y)).shape).copy()
+    shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+    if (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.shape == shape and value is not x and value is not y):
+        return value
+    return np.broadcast_to(np.asarray(value, float), shape).copy()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -268,6 +270,46 @@ def test_deep_expression_exits_2(capsys, source):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "expression" in err
+
+
+#: DSL strings: grammar-shaped ones (literals that overflow, vanish or are
+#: zero included) and arbitrary text over the DSL's own characters.
+_DSL_SOURCES = st.one_of(
+    st.recursive(
+        st.one_of(st.sampled_from(["x", "y", "0", "1", "0.5", "2", "1e-3",
+                                   "1e308", "1e999"]),
+                  st.floats(min_value=0.0, max_value=4.0).map(repr)),
+        lambda inner: st.one_of(
+            inner.map("-{}".format),
+            st.tuples(inner, st.sampled_from("+-*/^"), inner)
+            .map(lambda t: "({}{}{})".format(*t)),
+            st.tuples(st.sampled_from(["min", "max"]), inner, inner)
+            .map(lambda t: "{}({},{})".format(*t)),
+        ),
+        max_leaves=10),
+    st.text(alphabet="xy0123456789.e+-*/^(),minax ", max_size=24),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_DSL_SOURCES, command=st.sampled_from(["eval", "verify"]),
+       point=st.sampled_from(["0", "0.5", "1"]))
+def test_exit_code_contract_on_drawn_expressions(source, command, point):
+    """Any expression gives exit 0, 1 or 2, and exit 2 one stderr line."""
+    argv = ["--tnorm", "expr:" + source]
+    if command == "eval":
+        argv = ["eval", *argv, "--x", point, "--y", "0.25"]
+    else:
+        argv = ["verify", *argv, "--points", "5", "--samples", "0"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnormlab import core
+from tnormlab import core, dsl
 from tnormlab.core import (
     Canonical,
     Catalog,
@@ -259,6 +259,59 @@ def test_symmetric_kernels_are_bitwise_commutative(spec):
                               tnorm_values(spec, ly, lx)), n
 
 
+def ss_fixed_up_everywhere(beta, x, y):
+    """The Schweizer-Sklar formula with its neutral-element fix-up run over
+    every element: the reference for the kernel, which runs it only where
+    an argument equals 1."""
+    x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.power(x, beta) + np.power(y, beta) - 1.0
+    if beta > 0.0:
+        out = np.power(np.maximum(s, 0.0), 1.0 / beta)
+    else:
+        out = np.asarray(np.power(s, 1.0 / beta))
+        m = np.minimum(x, y)
+        overflow = np.isinf(s) & (m > 0.0)
+        if np.any(overflow):
+            m = m[overflow]
+            big = np.maximum(x, y)[overflow]
+            bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
+            out[overflow] = m * np.power(bracket, 1.0 / beta)
+    out = np.where(y == 1.0, x, out)
+    out = np.where(x == 1.0, y, out)
+    return core._clamp_unit(out, "reference")
+
+
+SS_BETAS = sorted({-3.0, 3.0} | {s.beta for _, s, _ in FAMILY_MATRIX
+                                 if isinstance(s, SchweizerSklar)})
+
+
+@pytest.mark.parametrize("beta", SS_BETAS)
+def test_ss_kernel_matches_the_fixed_up_formula(beta):
+    """Bit for bit and in type, on the symmetry pairs (exact 1s among
+    them), on lambda-scaled half slices (no 1s), on arrays with a few 1s
+    and on 0-d pairs."""
+    spec = SchweizerSklar(beta)
+
+    def same(x, y):
+        got, want = tnorm_values(spec, x, y), ss_fixed_up_everywhere(beta, x, y)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    same(*symmetry_pairs())
+    g = np.linspace(0.0, 1.0, 101)
+    i, j = np.triu_indices(101)
+    lx, ly = g[:-1:7, None] * g[i], g[:-1:7, None] * g[j]
+    assert not np.any(lx == 1.0) and not np.any(ly == 1.0)
+    same(lx, ly)
+    u, v = SplitMix64(0x1E5).unit_tuples(1_000, 2).T
+    u[[3, 500]], v[[7, 500, 999]] = 1.0, 1.0
+    same(u, v)
+    same(g[:, None], g[None, ::10])
+    for x, y in [(0.3, 0.6), (1.0, 0.6), (0.3, 1.0), (1.0, 1.0), (0.0, 1.0)]:
+        same(np.float64(x), np.float64(y))
+
+
 # --------------------------------------------------------------------------
 # The diagonal, powers, pseudo-inverse
 # --------------------------------------------------------------------------
@@ -399,6 +452,15 @@ def test_expr_range_violation_names_point():
     with pytest.raises(DomainError) as err:
         eval_tnorm(Expr("x+y"), 0.8, 0.9)
     assert "(0.8, 0.9)" in str(err.value)
+
+
+@pytest.mark.parametrize("source", ["x*y", "-(0*x)", "x*y - 1e-12",
+                                    "x*y + 1e-12", "min(x, y)*(1 + 1e-12)"])
+def test_expr_values_are_clipped_eval_expr(source):
+    """Signed zeros and last-ulp drift come out as np.clip gives them."""
+    x, y = GRID[:, None], GRID[None, ::5]
+    want = np.clip(dsl.eval_expr(dsl.parse(source), x, y), 0.0, 1.0)
+    assert tnorm_values(Expr(source), x, y).tobytes() == want.tobytes()
 
 
 def test_expr_accepts_valid_tnorm():

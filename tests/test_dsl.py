@@ -306,3 +306,80 @@ def test_agreement_with_reference_evaluator():
             assert err.value.kind == failure
         agreements += 1
     assert agreements == 10_000
+
+
+def _checked_walk(tree, x, y):
+    """The node-by-node walk: every node checked as it is evaluated."""
+    with np.errstate(all="ignore"):
+        return dsl._eval(tree, x, y, True)
+
+
+def _outcome(evaluate, tree, x, y):
+    """The value's bytes at the broadcast shape, or what the error names."""
+    try:
+        value = evaluate(tree, x, y)
+    except EvalError as err:
+        return ("error", err.kind, dsl.serialize(err.node), repr(err.point))
+    shape = np.broadcast(x, y).shape
+    return ("value", np.broadcast_to(np.asarray(value, float), shape).tobytes())
+
+
+def _seeded_arrays(rng: SplitMix64):
+    """x down a column and y along a row, each of 1 to 6 seeded values
+    drawn from uniform ones and those that make nodes fail or absorb a NaN
+    (0, -0.0, 0.5, 1)."""
+    special = np.array([0.0, -0.0, 0.5, 1.0])
+
+    def axis():
+        values = np.concatenate([rng.unit_array(3), special])
+        pick = rng.unit_array(1 + int(rng.next_unit() * 6))
+        return values[(pick * values.size).astype(int)]
+
+    return axis()[:, None], axis()[None, :]
+
+
+def test_array_evaluation_matches_the_checked_walk():
+    """On seeded arrays, eval_expr returns the checked walk's value bit for
+    bit, or raises the checked walk's error: the same kind, node and
+    point."""
+    rng = SplitMix64(0xA77)
+    errors = 0
+    for _ in range(2_000):
+        tree = random_tree(rng, 5)
+        x, y = _seeded_arrays(rng)
+        want = _outcome(_checked_walk, tree, x, y)
+        assert _outcome(dsl.eval_expr, tree, x, y) == want, dsl.serialize(tree)
+        errors += want[0] == "error"
+    assert 200 < errors < 1_800
+
+
+@pytest.mark.parametrize("source,kind,node,point", [
+    # a NaN left of a division by zero is met first, though "^0" absorbs it
+    ("((x-1)^0.5)^0 + x/(y-0.5)", "nan", "((x - 1.0) ^ 0.5)", (0.25, 0.5)),
+    ("x/(y-0.5) + ((x-1)^0.5)^0", "division_by_zero", "(x / (y - 0.5))",
+     (0.25, 0.5)),
+    ("1^((x-1)^0.5)", "nan", "((x - 1.0) ^ 0.5)", (0.25, 0.5)),
+    ("min((x-1)^0.5, 1/y)", "nan", "((x - 1.0) ^ 0.5)", (0.25, 0.5)),
+    ("x/(y-1)", "division_by_zero", "(x / (y - 1.0))", (0.25, 1.0)),
+    ("x/y", "division_by_zero", "(x / y)", (0.25, -0.0)),
+])
+def test_error_names_the_node_of_the_checked_walk(source, kind, node, point):
+    x = np.array([[0.25], [2.0]])
+    y = np.array([[0.5, 1.0, -0.0]])
+    tree = dsl.parse(source)
+    with pytest.raises(EvalError) as err:
+        dsl.eval_expr(tree, x, y)
+    got = (err.value.kind, dsl.serialize(err.value.node), err.value.point)
+    assert got == (kind, node, point)
+    assert _outcome(_checked_walk, tree, x, y) == _outcome(dsl.eval_expr, tree, x, y)
+
+
+@pytest.mark.parametrize("source", ["x", "y", "0.5", "x*y"])
+def test_array_result_is_a_new_array(source):
+    x = np.linspace(0.0, 1.0, 5)
+    y = x[::-1].copy()
+    out = dsl.eval_expr(dsl.parse(source), x, y)
+    assert out.shape == x.shape and out.dtype == np.float64
+    assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
+    out[:] = 7.0
+    assert x[0] == 0.0 and y[0] == 1.0
