@@ -17,7 +17,6 @@ from .analysis import (
     check_tm_equivalences,
     check_unit_scale,
     find_gph_counterexample,
-    reconstruct_t_from_f,
     scan_diagonal,
 )
 from .classify import (
@@ -55,7 +54,7 @@ __all__ = [
     "GridSpec", "Report", "Witness", "check_archimedean", "check_axioms",
     "check_continuity_equivalence", "check_gph", "check_pseudo_homogeneous",
     "check_tm_equivalences", "check_unit_scale", "find_gph_counterexample",
-    "reconstruct_t_from_f", "scan_diagonal",
+    "scan_diagonal",
     "ClassificationResult", "FitError", "PreconditionError", "classify",
     "Canonical", "Catalog", "CompanionF", "CShelf", "DomainError", "Drastic",
     "Expr", "Lukasiewicz", "Minimum", "OrdinalSum", "Product",

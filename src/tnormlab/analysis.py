@@ -50,7 +50,6 @@ __all__ = [
     "CONTINUITY_JUMP_FACTOR",
     "ASSOC_GRID_CAP",
     "check_axioms",
-    "reconstruct_t_from_f",
     "reconstruct_values",
     "check_gph",
     "check_unit_scale",
@@ -200,11 +199,6 @@ def reconstruct_values(f: CompanionF, x, y) -> np.ndarray:
     ratio = v / np.where(u > 0.0, u, 1.0)
     vals = companion_values(f, u, ratio)
     return np.where(u > 0.0, vals, 0.0)
-
-
-def reconstruct_t_from_f(f: CompanionF, x: float, y: float) -> float:
-    return float(reconstruct_values(f, np.asarray([float(x)]),
-                                    np.asarray([float(y)]))[0])
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,11 @@ when every earlier candidate has failed, so the fit costs nothing for the
 closed kinds.  When none passes, the verdict is NotGPH with the smallest
 validation residual and a scaling-equation witness.
 
-The exponent fit solves, per sample (x, y, t = T(x, y)), the root problem
+The exponent fit reads the diagonal, where the family gives
+T(z, z) = (2z^b - 1)^(1/b): it evaluates T(z, z) once on a fixed axis of
+2^13 + 1 points, keeps those with z and T(z, z) interior and T(z, z) off
+z^2, and thins them evenly to at most 64.  It does not depend on the grid
+or its seed.  It solves, per sample (x, y, t = T(x, y)), the root problem
 x^b + y^b - 1 - t^b = 0 over [-60, -1e-3] u [1e-3, 60] (b = 0 is always a
 root and is excluded; beyond |b| = 60 the family is numerically
 indistinguishable from min on binary64 grids), for all samples at once:
@@ -48,7 +52,6 @@ from .core import (
     spec_label,
     tnorm_values,
 )
-from .rng import SplitMix64
 
 __all__ = [
     "PreconditionError",
@@ -68,7 +71,8 @@ PRODUCT_GUARD = 1e-6
 
 _MIN_SAMPLES = 50
 _TARGET_SAMPLES = 64
-_MAX_DRAWS = 20_000
+#: the exponent fit reads T(z, z) at this many evenly spaced z in [0, 1].
+_FIT_POINTS = 2**13 + 1
 _BISECT_TOL = 1e-10
 _LADDER_POINTS = 48
 #: the fit fails when more than this share of the samples brackets no root.
@@ -173,25 +177,21 @@ def fit_beta_from_triples(triples: np.ndarray) -> float:
     return float(np.median(per_sample))
 
 
-def _draw_fit_samples(spec: TNormSpec, grid: GridSpec) -> np.ndarray:
-    """Seeded (x, y, t) rows with t interior and off the product surface."""
-    rng = SplitMix64(grid.seed)
-    batches = []
-    kept = drawn = 0
-    while kept < _TARGET_SAMPLES and drawn < _MAX_DRAWS:
-        x, y = rng.unit_tuples(256, 2).T
-        drawn += 256
-        t = tnorm_values(spec, x, y)
-        keep = ((t > 0.0) & (t < 1.0) & (x > 0.0) & (x < 1.0)
-                & (y > 0.0) & (y < 1.0) & (np.abs(t - x * y) > PRODUCT_GUARD))
-        batches.append(np.stack([x, y, t], axis=1)[keep])
-        kept += len(batches[-1])
-    rows = np.concatenate(batches)[:_TARGET_SAMPLES]
-    if len(rows) < _MIN_SAMPLES:
+def _diagonal_rows(spec: TNormSpec) -> np.ndarray:
+    """(z, z, T(z, z)) rows over ``_FIT_POINTS`` diagonal points with z and
+    T(z, z) interior and T(z, z) off z^2, thinned evenly by index to
+    ``_TARGET_SAMPLES``."""
+    z = np.linspace(0.0, 1.0, _FIT_POINTS)
+    t = tnorm_values(spec, z, z)
+    (kept,) = np.nonzero((t > 0.0) & (t < 1.0) & (z > 0.0) & (z < 1.0)
+                         & (np.abs(t - z * z) > PRODUCT_GUARD))
+    if kept.size < _MIN_SAMPLES:
         raise FitError(
-            f"only {len(rows)} informative samples in {drawn} draws; need"
+            f"only {kept.size} informative diagonal points of {z.size}; need"
             f" {_MIN_SAMPLES}")
-    return rows
+    pick = np.linspace(0, kept.size - 1, min(kept.size, _TARGET_SAMPLES))
+    kept = kept[pick.astype(int)]
+    return np.stack([z[kept], z[kept], t[kept]], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def _shelf_edge(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
 def _exponent_fit(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
     """SchweizerSklar at the fitted exponent; records the fit as evidence."""
     try:
-        samples = _draw_fit_samples(spec, grid)
+        samples = _diagonal_rows(spec)
         beta_hat = fit_beta_from_triples(samples)
     except FitError as err:
         evidence.append({"test": "beta_fit", "passed": False,

@@ -22,7 +22,6 @@ from tnormlab.analysis import (
     check_tm_equivalences,
     check_unit_scale,
     find_gph_counterexample,
-    reconstruct_t_from_f,
     reconstruct_values,
     residual_csv,
     residual_rows,
@@ -172,17 +171,17 @@ def test_canonical_f_examples():
 
 def test_reconstruct_from_section_formula():
     # F(0.9, 0.6/0.9) = max(0.9 + 0.9*(2/3) - 1, 0) = 0.5
-    assert reconstruct_t_from_f(SEC3_COMPANION, 0.9, 0.6) == \
+    assert reconstruct_values(SEC3_COMPANION, 0.9, 0.6) == \
         pytest.approx(0.5, abs=1e-12)
 
 
 def test_reconstruct_minimum_example():
-    assert reconstruct_t_from_f(Catalog(Minimum()), 0.3, 0.8) == \
+    assert reconstruct_values(Catalog(Minimum()), 0.3, 0.8) == \
         pytest.approx(0.3, abs=1e-15)
 
 
 def test_reconstruct_origin():
-    assert reconstruct_t_from_f(Catalog(Drastic()), 0.0, 0.0) == 0.0
+    assert reconstruct_values(Catalog(Drastic()), 0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("name,spec,_", FAMILY_MATRIX, ids=MATRIX_IDS)
