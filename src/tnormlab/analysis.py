@@ -355,6 +355,8 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     ``symmetric`` spec both sides are unchanged by swapping x and y, bit
     for bit, so each l slice sweeps only x <= y: the first maximal entry
     of a slice always lies there, and the witness is the full sweep's.
+    A symmetric sweep that raises is run again on the full cube, so an
+    ``Expr`` error names the node and point the full sweep meets first.
     The grid sweep evaluates consecutive l slices together, in blocks of
     at most 2**14 triples (one slice when it holds more), and the
     companion once per distinct bit pattern of T(x, y) per l, gathered,
@@ -365,14 +367,19 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     """
     comp = Canonical(spec) if f is None else f
 
-    def pieces():
-        yield from _gph_slices(spec, comp, grid, spec.symmetric)
+    def pieces(half):
+        yield from _gph_slices(spec, comp, grid, half)
         if grid.samples > 0:
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
             yield _scaling_piece(spec, comp, lam, x, y,
                                  tnorm_values(spec, x, y))
 
-    best_gap, best = _first_max(pieces())
+    try:
+        best_gap, best = _first_max(pieces(spec.symmetric))
+    except Exception:
+        if not spec.symmetric:
+            raise
+        best_gap, best = _first_max(pieces(False))
     passed = best_gap <= grid.eq_tol
     metadata = {
         "tnorm": spec_label(spec),

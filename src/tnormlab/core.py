@@ -23,13 +23,12 @@ for use as verification and counterexample targets.
 Each kind is declared once, as a frozen dataclass holding its mini-syntax
 tokens, its label and its array kernel; tnorm_values, spec_label,
 CATALOG_KINDS and parse_spec derive from those declarations.  A kind's
-``symmetric`` constant declares that its kernel is bitwise commutative,
+``symmetric`` flag declares that its kernel is bitwise commutative,
 T(x, y) and T(y, x) being the same float for all inputs: true for
-CATALOG_KINDS and the ordinal sums of them, false for DSL expressions,
-which need not be (``x*0.3*y`` rounds differently from ``y*0.3*x`` for
-about a third of random pairs).  A label is a mini-syntax token:
-parse_spec(spec_label(s)) == s for every spec whose ordinal-sum summands
-are catalog kinds, the only summands allowed.
+CATALOG_KINDS, their ordinal sums and each expression that
+``dsl.mirror_symmetric`` accepts (``x*y``, not ``x*0.3*y``).  A label
+is a mini-syntax token: parse_spec(spec_label(s)) == s for every spec
+whose ordinal-sum summands are catalog kinds, the only summands allowed.
 
 All evaluation is pure; values are binary64 and results of power-based
 formulas are clamped to [0, 1] with at most CLAMP_SLACK of drift allowed.
@@ -188,9 +187,10 @@ class SchweizerSklar(_Kind):
         with np.errstate(divide="ignore", over="ignore"):
             s = np.power(x, beta) + np.power(y, beta) - 1.0
         if beta > 0.0:
-            s = np.maximum(s, 0.0)
-        out = np.asarray(np.power(s, inv))
-        if beta < 0.0:
+            s = np.maximum(s, 0.0)  # pow(0, 1/b) is slow: skip the zeros, keep NaN
+            out = np.power(s, inv, out=np.zeros(np.shape(s)), where=s != 0.0)
+        else:
+            out = np.asarray(np.power(s, inv))
             # s = +inf where an argument is 0 (T = 0 already) or where x^b
             # overflowed; rescale the latter by the smaller argument, whose
             # power factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
@@ -312,11 +312,11 @@ class Expr(_Kind):
     ast: Expression
     tokens = ("expr",)
     catalog = False
-    symmetric = False
 
     def __post_init__(self):
         if isinstance(self.ast, str):
             object.__setattr__(self, "ast", dsl.parse(self.ast))
+        object.__setattr__(self, "symmetric", dsl.mirror_symmetric(self.ast))
 
     def label(self) -> str:
         return f"expr:{dsl.serialize(self.ast)}"

@@ -55,6 +55,7 @@ __all__ = [
     "MAX_DEPTH",
     "parse",
     "serialize",
+    "mirror_symmetric",
     "eval_expr",
 ]
 
@@ -307,6 +308,23 @@ def serialize(node: Expression) -> str:
     if isinstance(node, Call):
         return f"{node.func}({serialize(node.left)}, {serialize(node.right)})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def mirror_symmetric(node: Expression) -> bool:
+    """Whether ``node`` is the same float at (x, y) and (y, x) because its
+    mirror (x and y swapped) is itself up to the operand order of "+" and
+    "*", bitwise commutative in IEEE-754; min and max keep their order, as
+    np.minimum and np.maximum differ on -0.0 and 0.0."""
+    def key(n, rename):
+        if isinstance(n, (Const, Var)):
+            return rename.get(text := serialize(n), text)
+        if isinstance(n, Neg):
+            return f"(-{key(n.operand, rename)})"
+        op = n.func if isinstance(n, Call) else n.op
+        a, b = key(n.left, rename), key(n.right, rename)
+        a, b = sorted((a, b)) if op in ("+", "*") else (a, b)
+        return f"({a} {op} {b})"
+    return key(node, {}) == key(node, {"x": "y", "y": "x"})
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from tnormlab.analysis import GridSpec
 from tnormlab.core import (
     CShelf,
     Drastic,
+    Expr,
     Lukasiewicz,
     Minimum,
     OrdinalSum,
@@ -37,6 +38,15 @@ ORDINAL_SUMS = [
     OrdinalSum([(0.0, 0.5, Lukasiewicz())]),
     OrdinalSum([(0.5, 1.0, Product())]),
     OrdinalSum([(0.2, 0.6, Lukasiewicz()), (0.6, 1.0, Product())]),
+]
+
+#: the families of Klement, Mesiar & Pap, ch. 4, that the sweep benchmark
+#: checks as expressions: Hamacher (p = 0), Einstein and Lukasiewicz.
+#: dsl.mirror_symmetric accepts all three, so they sweep the half cube.
+EXPR_TNORMS = [
+    Expr("x*y/max(x+y-x*y,1e-300)"),
+    Expr("x*y/(2-(x+y-x*y))"),
+    Expr("max(x+y-1,0)"),
 ]
 
 

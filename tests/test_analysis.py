@@ -46,7 +46,7 @@ from tnormlab.core import (
 )
 from tnormlab.dsl import EvalError
 
-from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
+from conftest import EXPR_TNORMS, FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
 
 SEC3_COMPANION = Expr("max(x + x*y - 1, 0)")
 
@@ -244,12 +244,14 @@ def test_gph_ordinal_sum_fails_intrinsically(grid):
 
 #: (spec, companion) pairs whose half sweep is compared with the full cube:
 #: every symmetric kind of the matrix and luk, intrinsic and with its
-#: Catalog companion, the fixed ordinal sums, and two Expr companions.
+#: Catalog companion, the fixed ordinal sums, two Expr companions and the
+#: mirror-symmetric Expr t-norms of the benchmark.
 HALF_SWEEP_CASES = (
     [(spec, f) for spec in [s for _, s, _ in FAMILY_MATRIX] + [Lukasiewicz()]
      for f in (None, Catalog(spec))]
     + [(spec, None) for spec in ORDINAL_SUMS]
-    + [(Lukasiewicz(), Expr("max(x+x*y-1,0)")), (Product(), Expr("x*y"))])
+    + [(Lukasiewicz(), Expr("max(x+x*y-1,0)")), (Product(), Expr("x*y"))]
+    + [(spec, None) for spec in EXPR_TNORMS])
 
 
 def full_cube_slices(spec, f, points):
@@ -345,7 +347,7 @@ def test_gph_evaluates_companion_once_per_distinct_t(monkeypatch, spec):
 
 #: (t-norm token, Expr companion or None) pairs swept against the slice by
 #: slice reference: catalog kinds, a 3-summand ordinal sum, Hamacher as an
-#: expression (not symmetric: the full cube) and an Expr companion.
+#: expression (mirror symmetric: the half cube) and an Expr companion.
 BLOCK_CASES = [
     ("ss:-2", None), ("ss:3", None), ("luk", None), ("cshelf:0.25", None),
     ("drastic", None), ("osum:[0.1,0.3,prod;0.4,0.7,luk;0.8,0.95,ss:2]", None),
@@ -470,6 +472,20 @@ def test_gph_expr_sweeps_full_cube():
     the diagonal, and the upper triangle's is 2.220446049250313e-16."""
     report = check_gph(Expr("x^3*y"), None, GridSpec(points=51, samples=0))
     assert report.max_residual == 3.3306690738754696e-16
+
+
+def test_gph_symmetric_expr_error_is_the_full_cube_error():
+    """The rule accepts (y-x)^0.5+(x-y)^0.5, whose half sweep meets its
+    first NaN in the other branch, at the mirrored point.  check_gph sweeps
+    the full cube again and raises the full sweep's error."""
+    spec, grid = Expr("(y-x)^0.5+(x-y)^0.5"), GridSpec(points=21)
+    assert spec.symmetric
+    with pytest.raises(EvalError, match=re.escape(
+            "NaN produced in ((x - y) ^ 0.5) at (x, y) = (0.0, 0.05)")):
+        list(an._gph_slices(spec, Canonical(spec), grid, True))
+    with pytest.raises(EvalError, match=re.escape(
+            "NaN produced in ((y - x) ^ 0.5) at (x, y) = (0.05, 0.0)")):
+        check_gph(spec, None, grid)
 
 
 def test_gph_expr_companion_domain_error_text():
@@ -905,7 +921,7 @@ def test_residual_rows_header_and_arity():
 
 @pytest.mark.parametrize("tnorm, f", [
     ("ss:-1", None),
-    ("expr:x*y/(2-(x+y-x*y))", None),  # Einstein: no symmetric half-sweep
+    ("expr:x*y/(2-(x+y-x*y))", None),  # Einstein: the CSV is the full cube
     ("osum:[0.2,0.6,luk;0.6,1,prod]", None),
     ("prod", Expr("x*y")),
     # rhs is -0.0 on every row and lhs is 0.0 at lambda = 0: the dedupe

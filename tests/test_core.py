@@ -29,7 +29,13 @@ from tnormlab.core import (
 )
 from tnormlab.rng import SplitMix64
 
-from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS, paper_companion
+from conftest import (
+    EXPR_TNORMS,
+    FAMILY_MATRIX,
+    MATRIX_IDS,
+    ORDINAL_SUMS,
+    paper_companion,
+)
 
 units = st.floats(min_value=0.0, max_value=1.0)
 GRID = np.linspace(0.0, 1.0, 101)
@@ -201,9 +207,19 @@ def test_canonical_drastic_example():
 # Bitwise symmetry (the half-cube scaling sweep relies on it)
 # --------------------------------------------------------------------------
 
-def test_symmetric_declared_for_every_kind_but_expr():
+def test_symmetric_declared_per_kind_and_per_expression():
+    """Every kind but Expr declares symmetry once for all its specs; an
+    Expr takes it from dsl.mirror_symmetric of its own tree, however it
+    was built."""
     for kind in core.TNORM_KINDS:
-        assert kind.symmetric is (kind is not Expr), kind.__name__
+        if kind is not Expr:
+            assert kind.symmetric is True, kind.__name__
+    for source, symmetric in [("x*y", True), ("max(x+y-1,0)", True),
+                              ("x^3*y", False), ("min(x,y)", False)]:
+        for spec in (Expr(source), Expr(dsl.parse(source)),
+                     core.parse_spec(f"expr:{source}")):
+            assert spec.symmetric is symmetric, source
+            assert spec.symmetric is dsl.mirror_symmetric(spec.ast)
 
 
 def random_ordinal_sum(rng: SplitMix64) -> OrdinalSum:
@@ -223,7 +239,8 @@ def random_ordinal_sum(rng: SplitMix64) -> OrdinalSum:
 _OSUM_RNG = SplitMix64(0x05E)
 SYMMETRIC_SPECS = ([spec for _, spec, _ in FAMILY_MATRIX]
                    + [Lukasiewicz(), SchweizerSklar(-3.0), *ORDINAL_SUMS]
-                   + [random_ordinal_sum(_OSUM_RNG) for _ in range(6)])
+                   + [random_ordinal_sum(_OSUM_RNG) for _ in range(6)]
+                   + EXPR_TNORMS)
 
 
 def symmetry_pairs():
@@ -280,6 +297,22 @@ def ss_fixed_up_everywhere(beta, x, y):
     out = np.where(y == 1.0, x, out)
     out = np.where(x == 1.0, y, out)
     return core._clamp_unit(out, "reference")
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, -1.0])
+def test_ss_kernel_rejects_nan(beta):
+    """A NaN argument makes s NaN, which the kernel must pass to the clamp
+    for either sign of beta: for beta > 0 it skips pow only where s == 0,
+    and a NaN is not."""
+    with pytest.raises(DomainError):
+        tnorm_values(SchweizerSklar(beta), [math.nan], [0.5])
+
+
+def test_ss_kernel_rejects_a_negative_base_at_fractional_beta():
+    """(-0.5)^0.5 is NaN, and it reaches the clamp (numpy's warning about
+    the invalid power is silenced here, so that the clamp is what raises)."""
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+        tnorm_values(SchweizerSklar(0.5), [-0.5], [0.5])
 
 
 SS_BETAS = sorted({-3.0, 3.0} | {s.beta for _, s, _ in FAMILY_MATRIX

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 
@@ -11,6 +12,9 @@ from tnormlab.analysis import GridSpec, check_gph
 from tnormlab.core import Expr, spec_label
 from tnormlab.dsl import BinOp, Call, Const, EvalError, Neg, ParseError, Var
 from tnormlab.rng import SplitMix64
+
+from conftest import EXPR_TNORMS
+from test_core import symmetry_pairs
 
 
 # --------------------------------------------------------------------------
@@ -383,3 +387,123 @@ def test_array_result_is_a_new_array(source):
     assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
     out[:] = 7.0
     assert x[0] == 0.0 and y[0] == 1.0
+
+
+# --------------------------------------------------------------------------
+# Mirror symmetry: the rule that lets a scaling sweep take the half cube
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source", [
+    *(dsl.serialize(spec.ast) for spec in EXPR_TNORMS),
+    "x*y", "(y-x)^0.5+(x-y)^0.5"])
+def test_mirror_symmetric_accepts(source):
+    assert dsl.mirror_symmetric(dsl.parse(source))
+
+
+@pytest.mark.parametrize("source", ["x*0.3*y", "x^3*y", "(x+1)+y", "min(x,y)"])
+def test_mirror_symmetric_rejects(source):
+    """Each is a different float at some mirrored pair (x*0.3*y for about a
+    third of random pairs), or, like (x+1)+y, merely not provably equal."""
+    assert not dsl.mirror_symmetric(dsl.parse(source))
+
+
+def test_min_keeps_its_operand_order_on_signed_zeros():
+    """Why the rule leaves min and max alone: on a tie np.minimum returns
+    one operand by position, so min(x, y) at (-0.0, 0.0) and at
+    (0.0, -0.0) are zeros of opposite sign."""
+    tree = dsl.parse("min(x,y)")
+    a = dsl.eval_expr(tree, np.array([-0.0]), np.array([0.0]))
+    b = dsl.eval_expr(tree, np.array([0.0]), np.array([-0.0]))
+    assert np.signbit(a) != np.signbit(b)
+
+
+def mirror(node):
+    """``node`` with x and y exchanged."""
+    if isinstance(node, Var):
+        return Var("y" if node.name == "x" else "x")
+    if isinstance(node, Neg):
+        return Neg(mirror(node.operand))
+    if isinstance(node, (BinOp, Call)):
+        return dataclasses.replace(node, left=mirror(node.left),
+                                   right=mirror(node.right))
+    return node
+
+
+small_expressions = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])),
+              st.sampled_from([Const(0.0), Const(0.5), Const(1.0), Const(3.0)])),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), inner, inner),
+        st.builds(Call, st.sampled_from(["min", "max"]), inner, inner),
+    ),
+    max_leaves=6,
+)
+
+def mirrored(op, e):
+    """``e op mirror(e)``, a call for min and max."""
+    return (Call if op in ("min", "max") else BinOp)(op, e, mirror(e))
+
+
+#: e op mirror(e) for every operation: the rule accepts only "+" and "*".
+mirrored_pairs = st.builds(
+    mirrored, st.sampled_from([*"+-*/^", "min", "max"]), small_expressions)
+
+#: trees the rule accepts by construction: e + mirror(e) and e * mirror(e),
+#: and any operation on accepted trees.
+symmetric_expressions = st.recursive(
+    st.builds(mirrored, st.sampled_from("+*"), small_expressions),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), inner, inner),
+        st.builds(Call, st.sampled_from(["min", "max"]), inner, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_expressions)
+def test_mirror_symmetric_accepts_mirrored_constructions(tree):
+    assert dsl.mirror_symmetric(tree)
+
+
+_IEEE = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+         "^": np.power, "min": np.minimum, "max": np.maximum}
+
+
+def ieee_values(node, x, y):
+    """``node`` at (x, y) with numpy's IEEE-754 operations and no checks,
+    so NaNs and infinities come out as values."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x if node.name == "x" else y
+    if isinstance(node, Neg):
+        return -ieee_values(node.operand, x, y)
+    op = node.func if isinstance(node, Call) else node.op
+    return _IEEE[op](ieee_values(node.left, x, y), ieee_values(node.right, x, y))
+
+
+_PAIRS = symmetry_pairs()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(symmetric_expressions, mirrored_pairs, small_expressions))
+def test_mirror_symmetric_trees_evaluate_the_same_bits(tree):
+    """A tree the rule accepts gives the same float at every symmetry pair
+    and at its mirror, NaN-aware (a NaN's payload may differ), and
+    eval_expr raises at both or returns the same bits at both."""
+    if not dsl.mirror_symmetric(tree):
+        return
+    x, y = _PAIRS
+    with np.errstate(all="ignore"):
+        a = np.broadcast_to(ieee_values(tree, x, y), x.shape)
+        b = np.broadcast_to(ieee_values(tree, y, x), x.shape)
+    same = (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+    assert same.all(), dsl.serialize(tree)
+    assert _outcome(dsl.eval_expr, tree, x, y)[0] == \
+        _outcome(dsl.eval_expr, tree, y, x)[0]
+    if _outcome(dsl.eval_expr, tree, x, y)[0] == "value":
+        assert dsl.eval_expr(tree, x, y).tobytes() == \
+            dsl.eval_expr(tree, y, x).tobytes()
