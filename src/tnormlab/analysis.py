@@ -290,9 +290,9 @@ def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t,
                    at=None):
     """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
     equation, lhs = T(l*x, l*y) and rhs = F(l, T(x, y)).  With ``at``
-    omitted ``t`` is T(x, y) itself; otherwise ``lam`` is a block of
-    lambdas on a leading axis, ``t`` holds distinct values with t[at] =
-    T(x, y), and each lambda's row of F(l, t) is gathered at ``at``."""
+    omitted ``t`` is T(x, y) and both sides are evaluated entrywise; else
+    ``lam`` is a block of lambdas on a leading axis, ``t`` holds distinct
+    values with t[at] = T(x, y), and F(l, t) is gathered at ``at``."""
     lhs = tnorm_values(spec, lam * x, lam * y)
     if at is None:
         rhs = companion_values(comp, lam, t)
@@ -304,28 +304,38 @@ def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t,
 
 def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct floats of ``t`` by bit pattern (so -0.0 and 0.0 stay
-    apart), in order of first occurrence (C order), and the index array
-    ``at`` of the shape of ``t`` with values[at] equal to ``t`` bit for
-    bit."""
+    apart) and the index array ``at`` of the shape of ``t`` with values[at]
+    equal to ``t`` bit for bit."""
     flat = np.ravel(t)
-    _, first, inverse = np.unique(flat.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    return flat[first[order]], np.argsort(order)[inverse].reshape(t.shape)
+    # return_index makes numpy sort stably, faster on tables of few values
+    _, first, at = np.unique(flat.view(np.int64), return_index=True,
+                             return_inverse=True)
+    return flat[first], at.reshape(t.shape)
 
 
-def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec,
-                half: bool = False):
+def _reference_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
     """Yield the scaling-equation pieces of the grid lambdas in scan order,
-    over the (x, y) grid with x on axis 0, or with ``half`` over its upper
-    triangle x <= y as flat arrays in C order.  Each piece is a block of
-    consecutive lambda slices on a leading axis, at most _BLOCK triples or
-    one slice.  The companion side reads (x, y) only through T(x, y), so
-    each slice evaluates it once per distinct T value and gathers.  When a
-    block raises, its slices are swept again one at a time, so the error
-    is the one the first failing slice raises on its own."""
+    one lambda at a time over the full (x, y) grid with x on axis 0, both
+    sides evaluated at every entry.  Its rows and its errors are the
+    contract; :func:`_gph_slices` gives its maximum faster."""
     g = grid.axis()
-    if half:
+    x, y = g[:, None], g[None, :]
+    t = tnorm_values(spec, x, y)
+    for lam in g.tolist():
+        yield _scaling_piece(spec, comp, lam, x, y, t)
+
+
+def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
+    """Yield the scaling-equation pieces of the grid lambdas in scan order,
+    over the (x, y) grid with x on axis 0, or for a ``symmetric`` spec over
+    its upper triangle x <= y as flat arrays in C order.  Each piece is a
+    block of consecutive lambda slices on a leading axis, at most _BLOCK
+    triples or one slice.  The companion side reads (x, y) only through
+    T(x, y), so each slice evaluates it once per distinct T value and
+    gathers.  Its maximum is the reference sweep's; its errors need not
+    be."""
+    g = grid.axis()
+    if spec.symmetric:
         i, j = np.triu_indices(g.size)
         x, y = g[i], g[j]
     else:
@@ -334,14 +344,7 @@ def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec,
     lams = g.reshape((-1,) + (1,) * x.ndim)
     step = max(1, _BLOCK // at.size)
     for start in range(0, g.size, step):
-        block = lams[start:start + step]
-        try:
-            piece = _scaling_piece(spec, comp, block, x, y, t, at)
-        except Exception:
-            for k in range(len(block)):
-                yield _scaling_piece(spec, comp, block[k:k + 1], x, y, t, at)
-        else:
-            yield piece
+        yield _scaling_piece(spec, comp, lams[start:start + step], x, y, t, at)
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -355,31 +358,26 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     ``symmetric`` spec both sides are unchanged by swapping x and y, bit
     for bit, so each l slice sweeps only x <= y: the first maximal entry
     of a slice always lies there, and the witness is the full sweep's.
-    A symmetric sweep that raises is run again on the full cube, so an
-    ``Expr`` error names the node and point the full sweep meets first.
     The grid sweep evaluates consecutive l slices together, in blocks of
     at most 2**14 triples (one slice when it holds more), and the
     companion once per distinct bit pattern of T(x, y) per l, gathered,
-    so every rhs is the direct evaluation's float.  The distinct values
-    keep their first-occurrence order and a block that raises is swept
-    again slice by slice, so an out-of-range companion value still names
-    the first bad point.
+    so every rhs is the direct evaluation's float.  When it raises, the
+    reference sweep runs instead, one full l slice at a time evaluated
+    entrywise, so an error names the node and point it meets first.
     """
     comp = Canonical(spec) if f is None else f
 
-    def pieces(half):
-        yield from _gph_slices(spec, comp, grid, half)
+    def pieces(sweep):
+        yield from sweep(spec, comp, grid)
         if grid.samples > 0:
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
             yield _scaling_piece(spec, comp, lam, x, y,
                                  tnorm_values(spec, x, y))
 
     try:
-        best_gap, best = _first_max(pieces(spec.symmetric))
+        best_gap, best = _first_max(pieces(_gph_slices))
     except Exception:
-        if not spec.symmetric:
-            raise
-        best_gap, best = _first_max(pieces(False))
+        best_gap, best = _first_max(pieces(_reference_slices))
     passed = best_gap <= grid.eq_tol
     metadata = {
         "tnorm": spec_label(spec),
@@ -833,16 +831,17 @@ RESIDUAL_CSV_HEADER = "lambda,x,y,lhs,rhs,residual"
 def _residual_slices(spec: TNormSpec, f: Optional[CompanionF],
                      grid: GridSpec):
     """(lambda, lhs, rhs, residual) of each grid lambda in scan order, the
-    tables over the full (x, y) grid."""
+    reference sweep's tables over the full (x, y) grid."""
     comp = Canonical(spec) if f is None else f
-    for res, lam, _, _, lhs, rhs in _gph_slices(spec, comp, grid):
-        yield from zip(np.ravel(lam).tolist(), lhs, rhs, res)
+    for res, lam, _, _, lhs, rhs in _reference_slices(spec, comp, grid):
+        yield lam, lhs, rhs, res
 
 
 def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
                   grid: GridSpec = GridSpec()):
     """Yield (lambda, x, y, lhs, rhs, residual) for every grid triple, in
-    scan order.  Streams one block of lambda slices at a time."""
+    scan order, streamed from the reference sweep one lambda slice at a
+    time."""
     g = grid.axis()
     flat_x = np.repeat(g, g.size).tolist()
     flat_y = np.tile(g, g.size).tolist()

@@ -73,7 +73,7 @@ _MIN_SAMPLES = 50
 _TARGET_SAMPLES = 64
 #: the exponent fit reads T(z, z) at this many evenly spaced z in [0, 1].
 _FIT_POINTS = 2**13 + 1
-_BISECT_TOL = 1e-10
+_BISECT_TOL = 1e-12
 _LADDER_POINTS = 48
 #: the fit fails when more than this share of the samples brackets no root.
 _MAX_MISSING_FRACTION = 0.2

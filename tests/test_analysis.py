@@ -385,19 +385,32 @@ def rows_digest(rows) -> str:
 @pytest.mark.parametrize("points", [11, 51, 101])
 @pytest.mark.parametrize("tnorm,f", BLOCK_CASES, ids=BLOCK_IDS)
 def test_blocked_sweep_matches_slice_by_slice(monkeypatch, tnorm, f, points):
-    """Blocks of lambda slices give the reports and rows of the slice by
-    slice sweep bit for bit.  The least positive eq_tol gives every nonzero
-    residual a witness; the seeded samples are on."""
+    """Blocks of lambda slices give the report of the slice by slice sweep
+    bit for bit.  The least positive eq_tol gives every nonzero residual a
+    witness; the seeded samples are on."""
     spec, comp = parse_spec(tnorm), None if f is None else Expr(f)
     grid = GridSpec(points=points, eq_tol=5e-324)
+    blocked = check_gph(spec, comp, grid).to_json()
+    monkeypatch.setattr(an, "_gph_slices", lambda spec, comp, grid:
+                        sliced_gph_slices(spec, comp, grid, spec.symmetric))
+    assert check_gph(spec, comp, grid).to_json() == blocked
 
-    def sweep():
-        return (check_gph(spec, comp, grid).to_json(),
-                rows_digest(residual_rows(spec, comp, grid)))
 
-    blocked = sweep()
-    monkeypatch.setattr(an, "_gph_slices", sliced_gph_slices)
-    assert sweep() == blocked
+@pytest.mark.parametrize("points", [11, 51])
+@pytest.mark.parametrize("tnorm,f", BLOCK_CASES, ids=BLOCK_IDS)
+def test_residual_rows_match_slice_by_slice(tnorm, f, points):
+    """The rows stream from the reference sweep and carry the slice by
+    slice sweep's values over the full cube bit for bit."""
+    spec, comp = parse_spec(tnorm), None if f is None else Expr(f)
+    grid = GridSpec(points=points)
+    slices = sliced_gph_slices(spec, Canonical(spec) if f is None else comp,
+                               grid)
+    expected = chain.from_iterable(
+        zip(*(np.broadcast_to(a, res.shape).ravel().tolist()
+              for a in (lam, x, y, lhs, rhs, res)))
+        for res, lam, x, y, lhs, rhs in slices)
+    assert rows_digest(residual_rows(spec, comp, grid)) == \
+        rows_digest(expected)
 
 
 def test_blocked_sweep_witness_in_a_later_slice_of_its_block():
@@ -414,9 +427,10 @@ def test_blocked_sweep_witness_in_a_later_slice_of_its_block():
 def test_mid_block_error_is_the_first_failing_slice():
     """At 11 points the whole sweep is one block.  There the companion's
     first division fails first, at x = 0.5; slice by slice, the lambda =
-    0.4 slice fails first, in the second division.  The block is swept
-    again slice by slice, so the error and the partial CSV are the
-    sequential ones: the header and the 4 x 121 rows of lambda < 0.4."""
+    0.4 slice fails first, in the second division.  check_gph then runs
+    the reference sweep, and the CSV streams from it, so the error and the
+    partial CSV are the sequential ones: the header and the 4 x 121 rows
+    of lambda < 0.4."""
     f = Expr("x*y + 0*(1/(x-0.5)) + 0*(1/(x-0.4))")
     grid = GridSpec(points=11, samples=0)
     error = re.escape("division by zero in (1.0 / (x - 0.4)) at (x, y) = (0.4, 0.0)")
@@ -454,12 +468,10 @@ def test_gph_kernel_calls_stay_within_one_block(monkeypatch, tnorm, f, points):
     assert sizes and max(sizes) <= max(an._BLOCK, one_slice)
 
 
-def test_distinct_keeps_bit_patterns_in_first_occurrence_order():
+def test_distinct_keeps_bit_patterns_apart():
     t = np.array([0.5, -0.0, 0.0, 0.5, 1.0])
     values, at = an._distinct(t)
-    assert values.view(np.int64).tolist() == \
-        np.array([0.5, -0.0, 0.0, 1.0]).view(np.int64).tolist()
-    assert at.tolist() == [0, 1, 2, 0, 3]
+    assert len(set(values.view(np.int64).tolist())) == values.size == 4
     assert values[at].view(np.int64).tolist() == t.view(np.int64).tolist()
     table = np.array([[0.25, 0.0], [0.25, 1.0]])
     values, at = an._distinct(table)
@@ -476,16 +488,29 @@ def test_gph_expr_sweeps_full_cube():
 
 def test_gph_symmetric_expr_error_is_the_full_cube_error():
     """The rule accepts (y-x)^0.5+(x-y)^0.5, whose half sweep meets its
-    first NaN in the other branch, at the mirrored point.  check_gph sweeps
-    the full cube again and raises the full sweep's error."""
+    first NaN in the other branch, at the mirrored point.  check_gph runs
+    the reference sweep over the full cube and raises its error."""
     spec, grid = Expr("(y-x)^0.5+(x-y)^0.5"), GridSpec(points=21)
     assert spec.symmetric
     with pytest.raises(EvalError, match=re.escape(
             "NaN produced in ((x - y) ^ 0.5) at (x, y) = (0.0, 0.05)")):
-        list(an._gph_slices(spec, Canonical(spec), grid, True))
+        list(an._gph_slices(spec, Canonical(spec), grid))
     with pytest.raises(EvalError, match=re.escape(
             "NaN produced in ((y - x) ^ 0.5) at (x, y) = (0.05, 0.0)")):
         check_gph(spec, None, grid)
+
+
+def test_gph_error_only_in_the_seeded_samples():
+    """The companion is NaN only for lambda in (0.32, 0.34), between two
+    grid lambdas at 11 points, where the sixth smallest of 20 seeded
+    lambdas lies.  The grid sweep passes; with the samples on, the fast
+    sweep raises and so does the reference sweep, naming that sample."""
+    f = Expr("x*x*y + 0*((x-0.32)*(x-0.34))^0.5")
+    assert check_gph(Product(), f, GridSpec(points=11, samples=0)).passed
+    with pytest.raises(EvalError, match=re.escape(
+            "NaN produced in (((x - 0.32) * (x - 0.34)) ^ 0.5) at (x, y) ="
+            " (0.3298038124947792, 0.03691602889491254)")):
+        check_gph(Product(), f, GridSpec(points=11, samples=20))
 
 
 def test_gph_expr_companion_domain_error_text():
@@ -505,8 +530,9 @@ def test_gph_expr_companion_domain_error_text():
 ], ids=["prod-51", "luk-11"])
 def test_gph_expr_companion_domain_error_names_first_point(spec, f, points,
                                                             point):
-    """Evaluated once per distinct T(x, y) in order of first occurrence,
-    the companion still fails at the first bad point in C order."""
+    """The fast sweep evaluates the companion once per distinct T(x, y), in
+    sorted order; when it raises, check_gph runs the reference sweep, so
+    the error still names the first bad point in C order."""
     with pytest.raises(DomainError, match=re.escape(
             f"companion expression evaluates outside [0, 1] at (x, y) = {point}")):
         check_gph(spec, Expr(f), GridSpec(points=points))

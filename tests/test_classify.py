@@ -274,7 +274,6 @@ PARAM_TOL = 2e-6
 SCAN_MISSES = {
     "ss:-0.001": "a ladder end rung brackets only its own exact zero",
     "ss:60": "a ladder end rung brackets only its own exact zero",
-    "ss:2.69443": "validation residual 1.91e-9 > eq_tol",
 }
 #: 40 log-spaced exponents a side over the fitted range, and steep members
 #: whose diagonal leaves few points off min.
