@@ -196,7 +196,7 @@ class SchweizerSklar(_Kind):
             # power factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
             m = np.minimum(x, y)
             overflow = np.isinf(s) & (m > 0.0)
-            if np.any(overflow):
+            if overflow.any():
                 m = m[overflow]
                 big = np.maximum(x, y)[overflow]
                 bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
@@ -222,10 +222,10 @@ class CShelf(_Kind):
         object.__setattr__(self, "c", c)
 
     def values(self, x, y):
-        c = self.c
-        zero = ((x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0)
-                & ~((x >= c) & (y >= c)))
-        return np.where(zero, 0.0, np.minimum(x, y))
+        """0 where 0 < min(x, y) < c and max(x, y) < 1, else min(x, y)."""
+        lo = np.minimum(x, y)
+        return np.where((lo > 0.0) & (lo < self.c) & (np.maximum(x, y) < 1.0),
+                        0.0, lo)
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,12 @@ class Summand:
 
 @dataclass(frozen=True)
 class OrdinalSum(_Kind):
+    """a + (e - a) * T_k((x - a) / (e - a), (y - a) / (e - a)) on the pairs
+    of summand k = [a, e], a <= min(x, y) and max(x, y) <= e; else min(x, y).
+    All pairs are read before any is written: a corner shared by adjacent
+    summands goes to the later one.  T_k reads the rescaled (min, max): the
+    bits of (x, y) for the symmetric catalog kinds, (-0.0, 0.0) aside."""
+
     summands: tuple[Summand, ...]
     tokens = ("osum",)
     catalog = False
@@ -288,17 +294,21 @@ class OrdinalSum(_Kind):
         return cls(summands)
 
     def values(self, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        out = np.asarray(np.minimum(x, y))
-        for s in self.summands:
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        shape = lo.shape
+        lo, hi = lo.ravel(), hi.ravel()
+        parts = [(s, ((lo >= s.lower) & (hi <= s.upper)).nonzero()[0])
+                 for s in self.summands]
+        parts = [(s, at, lo[at], hi[at]) for s, at in parts if at.size]
+        del hi  # one array fewer live while the summands evaluate
+        for s, at, u, v in parts:
             span = s.upper - s.lower
-            mask = ((x >= s.lower) & (x <= s.upper)
-                    & (y >= s.lower) & (y <= s.upper))
-            if np.any(mask):
-                xi = (x[mask] - s.lower) / span
-                yi = (y[mask] - s.lower) / span
-                out[mask] = s.lower + span * tnorm_values(s.inner, xi, yi)
-        return out
+            u -= s.lower
+            u /= span
+            v -= s.lower
+            v /= span
+            lo[at] = s.lower + span * tnorm_values(s.inner, u, v)
+        return lo.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -386,8 +396,8 @@ def _clamp_unit(values: np.ndarray, context: str) -> np.ndarray:
     """Clamp last-ulp drift into [0, 1]; drift beyond CLAMP_SLACK is an error."""
     if values.size == 0:
         return values
-    lo = float(np.min(values))
-    hi = float(np.max(values))
+    lo = float(values.min())
+    hi = float(values.max())
     if math.isnan(lo) or lo < -CLAMP_SLACK or hi > 1.0 + CLAMP_SLACK:
         raise DomainError(f"{context} produced a value outside [0, 1]: "
                           f"range [{lo}, {hi}]")

@@ -47,13 +47,17 @@ class SplitMix64:
 
         Bit-identical to calling :meth:`next_unit` ``n`` times.
         """
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+        return z * _TO_UNIT  # float64: the top 53 bits convert exactly
 
     def unit_tuples(self, n: int, k: int) -> np.ndarray:
         """``n`` samples of ``k`` unit doubles each, shape (n, k)."""

@@ -210,10 +210,12 @@ def test_canonical_drastic_example():
 def test_symmetric_declared_per_kind_and_per_expression():
     """Every kind but Expr declares symmetry once for all its specs; an
     Expr takes it from dsl.mirror_symmetric of its own tree, however it
-    was built."""
+    was built.  Every catalog kind is symmetric: the ordinal-sum kernel
+    hands its summands, all catalog kinds, (min, max) in place of (x, y)."""
     for kind in core.TNORM_KINDS:
         if kind is not Expr:
             assert kind.symmetric is True, kind.__name__
+    assert core.CATALOG_KINDS and all(k.symmetric for k in core.CATALOG_KINDS)
     for source, symmetric in [("x*y", True), ("max(x+y-1,0)", True),
                               ("x^3*y", False), ("min(x,y)", False)]:
         for spec in (Expr(source), Expr(dsl.parse(source)),
@@ -343,6 +345,117 @@ def test_ss_kernel_matches_the_fixed_up_formula(beta):
     same(g[:, None], g[None, ::10])
     for x, y in [(0.3, 0.6), (1.0, 0.6), (0.3, 1.0), (1.0, 1.0), (0.0, 1.0)]:
         same(np.float64(x), np.float64(y))
+
+
+# --------------------------------------------------------------------------
+# Ordinal-sum and shelf kernels against their mask formulas
+# --------------------------------------------------------------------------
+
+def osum_by_masks(spec, x, y):
+    """The ordinal sum as four compares per summand on the broadcast
+    (x, y): the reference for the kernel, which finds each summand's pairs
+    from (min, max) and hands the summand the rescaled (min, max)."""
+    x, y = np.broadcast_arrays(np.asarray(x, np.float64),
+                               np.asarray(y, np.float64))
+    out = np.asarray(np.minimum(x, y))
+    for s in spec.summands:
+        span = s.upper - s.lower
+        mask = ((x >= s.lower) & (x <= s.upper)
+                & (y >= s.lower) & (y <= s.upper))
+        if np.any(mask):
+            xi = (x[mask] - s.lower) / span
+            yi = (y[mask] - s.lower) / span
+            out[mask] = s.lower + span * tnorm_values(s.inner, xi, yi)
+    return out
+
+
+def cshelf_by_masks(c, x, y):
+    """The shelf as ten operations on (x, y): 0 on (0, 1)^2 outside
+    [c, 1)^2, min(x, y) elsewhere."""
+    x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+    zero = ((x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0)
+            & ~((x >= c) & (y >= c)))
+    return np.where(zero, 0.0, np.minimum(x, y))
+
+
+#: adjacent summands with a shared corner e: the earlier summand would give
+#: a + (e - a) * T(1, 1) < e there, the later one gives e
+SHARED_CORNER_SUMS = [
+    OrdinalSum([(0.05, 0.21, Product()), (0.21, 0.8, SchweizerSklar(0.5))]),
+    OrdinalSum([(0.03, 0.29, Minimum()), (0.29, 0.82, Lukasiewicz()),
+                (0.82, 1.0, CShelf(0.3))]),
+]
+_KERNEL_RNG = SplitMix64(0x0B5)
+MASK_SPECS = ([*ORDINAL_SUMS, *SHARED_CORNER_SUMS]
+              + [random_ordinal_sum(_KERNEL_RNG) for _ in range(8)]
+              + [CShelf(c) for c in (0.005, 0.25, 0.5, 0.999)])
+
+
+def by_masks(spec, x, y):
+    if isinstance(spec, CShelf):
+        return cshelf_by_masks(spec.c, x, y)
+    return osum_by_masks(spec, x, y)
+
+
+def kernel_pairs(spec):
+    """Seeded pairs with x > y, the same pairs swapped, and every pair of
+    0, -0.0, 1, NaN, the summand bounds or shelf edge and their
+    neighbouring floats, against each other and against seeded values."""
+    u, v = SplitMix64(0x3E7).unit_tuples(20_000, 2).T
+    big, small = np.maximum(u, v), np.minimum(u, v)
+    cuts = ([spec.c] if isinstance(spec, CShelf) else
+            [b for s in spec.summands for b in (s.lower, s.upper)])
+    special = np.array([0.0, -0.0, 1.0, math.nan, 0.5,
+                        *cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 1.0)])
+    sx, sy = np.meshgrid(special, special)
+    return (np.concatenate([big, small, sx.ravel(), np.resize(special, 2_000)]),
+            np.concatenate([small, big, sy.ravel(), u[:2_000]]))
+
+
+@pytest.mark.parametrize("spec", MASK_SPECS,
+                         ids=[core.spec_label(s) for s in MASK_SPECS])
+def test_kernel_matches_the_mask_formula(spec):
+    """Bit for bit, in shape and in type: on the kernel pairs in both
+    orders, on the (n,1) x (1,n) grid of the special values, on a
+    (B,1) x (B,k) block and on 0-d pairs."""
+    def same(x, y):
+        got, want = tnorm_values(spec, x, y), by_masks(spec, x, y)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    x, y = kernel_pairs(spec)
+    same(x, y)
+    same(y, x)
+    g = np.concatenate([np.linspace(0.0, 1.0, 41), x[-60:]])
+    same(g[:, None], g[None, :])
+    lam = np.linspace(0.0, 1.0, 7)[:, None]
+    same(lam, lam * x[:300].reshape(1, 300))
+    for i in range(0, len(x), 997):
+        same(np.float64(x[i]), np.float64(y[i]))
+
+
+@pytest.mark.parametrize("spec", SHARED_CORNER_SUMS,
+                         ids=[core.spec_label(s) for s in SHARED_CORNER_SUMS])
+def test_ordinal_sum_shared_corner_goes_to_the_later_summand(spec):
+    """At a shared corner e the later summand gives e; the earlier one
+    would give a + (e - a) * T(1, 1), a different float."""
+    for a, b in zip(spec.summands, spec.summands[1:]):
+        e = a.upper
+        assert a.lower + (e - a.lower) * 1.0 != e
+        assert eval_tnorm(spec, e, e) == e
+        assert tnorm_values(spec, [e, 0.5], [e, 0.5])[0] == e
+
+
+def test_ordinal_sum_reads_a_signed_zero_pair_as_min_max():
+    """np.minimum and np.maximum return one operand for (-0.0, 0.0), so a
+    summand starting at 0 reads (0.0, 0.0) or (-0.0, -0.0).  The mask
+    formula handed ss:-1 the pair itself, where (-0.0)^-1 + 0^-1 is NaN
+    and the kernel raised DomainError; now the sum gives 0 as T(0, 0) does."""
+    spec = OrdinalSum([(0.0, 0.5, SchweizerSklar(-1.0))])
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+        osum_by_masks(spec, -0.0, 0.0)
+    for x, y in [(-0.0, 0.0), (0.0, -0.0)]:
+        assert eval_tnorm(spec, x, y) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -579,6 +692,14 @@ def test_ss_commutes_and_respects_bounds(x, y, beta):
     assert a == eval_tnorm(spec, y, x)
     assert 0.0 <= a <= min(x, y) + 1e-15
     assert eval_tnorm(spec, x, 1.0) == x
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: cancellation in"
+                   " x^b + y^b - 1 for small |b| near y = 1")
+def test_ss_small_beta_stays_below_min_near_one():
+    """A case the property above can draw: with b = -0.001 and
+    y = 1 - 2**-53, T(0.5, y) exceeds min(x, y) = 0.5 by 1.7e-13."""
+    assert eval_tnorm(SchweizerSklar(-0.001), 0.5, 1.0 - 2.0 ** -53) <= 0.5 + 1e-15
 
 
 @settings(max_examples=200, deadline=None)
