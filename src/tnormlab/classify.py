@@ -20,14 +20,15 @@ The exponent fit reads the diagonal, where the family gives
 T(z, z) = (2z^b - 1)^(1/b): it evaluates T(z, z) once on a fixed axis of
 2^13 + 1 points, keeps those with z and T(z, z) interior and T(z, z) off
 z^2, and thins them evenly to at most 64.  It does not depend on the grid
-or its seed.  It solves, per sample (x, y, t = T(x, y)), the root problem
-x^b + y^b - 1 - t^b = 0 over [-60, -1e-3] u [1e-3, 60] (b = 0 is always a
-root and is excluded; beyond |b| = 60 the family is numerically
-indistinguishable from min on binary64 grids), for all samples at once:
-one table of the equation over a geometric ladder of 48 rungs a side, one
-comparison that finds every sign change between neighbouring rungs, and one
-bisection loop over all brackets together.  The estimate is the median of
-per-sample roots, which ignores the few samples that land near the
+or its seed.  It solves, per sample (x, y, t = T(x, y)), T_b(x, y) = t
+over [-60, -1e-3] u [1e-3, 60] (b = 0 always solves the power-sum form and
+is excluded; beyond |b| = 60 the family is numerically indistinguishable
+from min on binary64 grids).  The family decreases pointwise in b
+(Klement, Mesiar & Pap, Triangular Norms, ch. 4), so the sign of
+T_b(x, y) - t goes from + to - once: the sign at b = 1e-3 picks the side,
+a row whose sign does not change over its side has no root, and one
+bisection runs over all other rows together.  The estimate is the median
+of per-sample roots, which ignores the few samples that land near the
 max{., 0} fold.
 """
 
@@ -74,7 +75,6 @@ _TARGET_SAMPLES = 64
 #: the exponent fit reads T(z, z) at this many evenly spaced z in [0, 1].
 _FIT_POINTS = 2**13 + 1
 _BISECT_TOL = 1e-12
-_LADDER_POINTS = 48
 #: the fit fails when more than this share of the samples brackets no root.
 _MAX_MISSING_FRACTION = 0.2
 
@@ -117,17 +117,22 @@ def _h(beta, x, y, t):
     return np.where(pos, powers - 1.0 - t_abs, powers - t_abs - 1.0)
 
 
+def _sign(beta, x, y, t):
+    """Sign of T_beta(x, y) - t, from that of ``_h`` (T rises with the
+    power sum for beta > 0 and falls with it for beta < 0).  Broadcasts."""
+    return np.sign(beta) * np.sign(_h(beta, x, y, t))
+
+
 def fit_beta_from_triples(triples: np.ndarray) -> float:
     """Median per-sample root over (x, y, t) rows.
 
-    The equation is tabled over the ladder for all rows at once.  Column j
-    brackets a root when h is exactly 0 there or changes sign towards the
-    next rung of its side; a side's last rung brackets only its own exact
-    zero.  Every bracket is oriented lo < hi with the sign taken at lo and
-    bisected together with all others; it stops at an exact zero (lo, then
-    hi, then the midpoint) or at width ``_BISECT_TOL`` and yields its
-    midpoint.  A row's root is the one with the smallest |h|; a tie goes to
-    the first in scan order, the + side before the - side, |b| ascending.
+    The family decreases pointwise in the exponent, so the sign of
+    T_b(x, y) - t goes from + to - exactly once as b increases.  A row's
+    side is [1e-3, 60] when that sign is >= 0 at b = 1e-3 and [-60, -1e-3]
+    otherwise; a row whose sign does not change over its side has no root
+    there (it sits in the gap around 0 or beyond |b| = 60).  An exact zero
+    at an end is the root; all other rows are bisected together to width
+    ``_BISECT_TOL``, stopping at an exact zero, and yield their midpoints.
 
     Raises :class:`ValueError` unless every x, y and t lies in (0, 1], and
     :class:`FitError` when more than ``_MAX_MISSING_FRACTION`` of the
@@ -137,44 +142,26 @@ def fit_beta_from_triples(triples: np.ndarray) -> float:
     if not np.all((triples > 0.0) & (triples <= 1.0)):
         raise ValueError("every x, y and t must lie in (0, 1]")
     x, y, t = triples.T
-    ladder = np.geomspace(*BETA_BRACKET, _LADDER_POINTS)
-    betas = np.concatenate([ladder, -ladder])
-    partner = np.arange(1, betas.size + 1)
-    partner[_LADDER_POINTS - 1::_LADDER_POINTS] -= 1
-    table = _h(betas, x[:, None], y[:, None], t[:, None])
-    bracket = (table == 0.0) | ((table < 0.0) != (table[:, partner] < 0.0))
-
-    rows, cols = np.nonzero(bracket)
-    x, y, t = x[rows], y[rows], t[rows]
-    swap = cols >= _LADDER_POINTS  # the - side runs downwards
-    lo_col = np.where(swap, partner[cols], cols)
-    hi_col = np.where(swap, cols, partner[cols])
-    lo, hi = betas[lo_col], betas[hi_col]
-    f_lo, f_hi = table[rows, lo_col], table[rows, hi_col]
-    exits = np.where(f_lo == 0.0, lo, hi)
-    bisected = live = (f_lo != 0.0) & (f_hi != 0.0)
-    # an exact zero at the midpoint closes its bracket onto the midpoint
-    while (live := live & (hi - lo > _BISECT_TOL)).any():
-        mid = 0.5 * (lo + hi)
-        f_mid = _h(mid, x, y, t)
-        left = (f_lo < 0.0) != (f_mid < 0.0)
-        exact = f_mid == 0.0
-        hi = np.where(live & (left | exact), mid, hi)
-        lo = np.where(live & (~left | exact), mid, lo)
-        f_lo = np.where(live & ~left, f_mid, f_lo)
-    roots = np.where(bisected, 0.5 * (lo + hi), exits)
-
-    # the root at which each row's equation is satisfied best
-    score = np.full(table.shape, np.inf)
-    score[rows, cols] = np.abs(_h(roots, x, y, t))
-    table[rows, cols] = roots  # a bracket's cell now holds its root
-    found = np.flatnonzero(bracket.any(axis=1))
-    per_sample = table[found, score[found].argmin(axis=1)]
-    missing = len(table) - len(found)
-    if missing > _MAX_MISSING_FRACTION * len(table) or not len(found):
+    near, far = BETA_BRACKET
+    pos = _sign(near, x, y, t) >= 0.0
+    lo, hi = np.where(pos, near, -far), np.where(pos, far, -near)
+    s_lo, s_hi = _sign(lo, x, y, t), _sign(hi, x, y, t)
+    found = (s_lo >= 0.0) & (s_hi <= 0.0)
+    missing = len(triples) - int(found.sum())
+    if missing > _MAX_MISSING_FRACTION * len(triples) or not found.any():
         raise FitError(
-            f"no exponent bracket for {missing} of {len(table)} samples")
-    return float(np.median(per_sample))
+            f"no exponent bracket for {missing} of {len(triples)} samples")
+
+    x, y, t, lo, hi = (a[found] for a in (x, y, t, lo, hi))
+    # an exact zero, at an end or a midpoint, closes the bracket onto it
+    hi = np.where(s_lo[found] == 0.0, lo, hi)
+    lo = np.where(s_hi[found] == 0.0, hi, lo)
+    while (live := hi - lo > _BISECT_TOL).any():
+        mid = 0.5 * (lo + hi)
+        s_mid = _sign(mid, x, y, t)
+        lo = np.where(live & (s_mid >= 0.0), mid, lo)
+        hi = np.where(live & (s_mid <= 0.0), mid, hi)
+    return float(np.median(0.5 * (lo + hi)))
 
 
 def _diagonal_rows(spec: TNormSpec) -> np.ndarray:

@@ -97,11 +97,12 @@ class StructuralError(Exception):
 
 
 def as_unit(value: float, label: str = "value") -> float:
-    """Validate ``value`` as a float in [0, 1]; NaN and out-of-range reject."""
+    """Validate ``value`` as a float in [0, 1]; NaN and out-of-range reject.
+    -0.0 reads as 0.0."""
     v = float(value)
     if math.isnan(v) or v < 0.0 or v > 1.0:
         raise DomainError(f"{label} must lie in [0, 1], got {value!r}")
-    return v
+    return v + 0.0
 
 
 # --------------------------------------------------------------------------

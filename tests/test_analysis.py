@@ -1021,3 +1021,67 @@ def test_tm_equivalences_witness_replays(grid):
     w = report.witness
     _assert_replays(w, tnorm_values(spec, w.x, w.y), min(w.x, w.y))
     assert report.max_residual == w.gap
+
+
+def _earlier(g, v):
+    """The grid point before the grid value v."""
+    return g[np.flatnonzero(g == v)[0] - 1]
+
+
+def test_ph_increasing_witness_replays(grid):
+    f = Expr("x*(1-y)")  # falls in y; F(x, 1) = 0 fails too but comes later
+    report = check_pseudo_homogeneous(f, grid)
+    assert not report.metadata["increasing_ok"]
+    assert not report.metadata["boundary_ok"]
+    w = report.witness
+    _assert_replays(w, companion_values(f, w.x, w.y),
+                    companion_values(f, w.x, _earlier(grid.axis(), w.y)))
+    assert report.max_residual == w.gap
+
+
+def test_ph_zero_boundary_witness_replays(grid):
+    f = Expr("max(x*y,0.5*y)")  # F(x, 1) >= 0.5, so F(0, 1) != 0
+    report = check_pseudo_homogeneous(f, grid)
+    assert report.metadata["increasing_ok"]
+    assert not report.metadata["boundary_ok"]
+    w = report.witness
+    assert (w.lam, w.x, w.y) == (1.0, 0.0, 1.0)
+    _assert_replays(w, companion_values(f, w.x, w.y), w.x)
+    assert report.max_residual == w.gap
+
+
+def test_ph_continuity_witness_replays(grid):
+    # increasing with F(x, 1) = x, but a step of x*y/2 across y = 0.5
+    f = Expr("x*y*(0.5+min(max(100*y-50,0),0.5))")
+    report = check_pseudo_homogeneous(f, grid)
+    assert report.metadata["increasing_ok"] and report.metadata["boundary_ok"]
+    assert not report.metadata["continuous_at_grid_scale"]
+    w = report.witness
+    _assert_replays(w, companion_values(f, w.x, w.y),
+                    companion_values(f, w.x, _earlier(grid.axis(), w.y)))
+    assert report.max_residual == w.gap == report.metadata["max_jump"]
+
+
+def test_diagonal_limit_witness_replays(grid):
+    spec = Expr("0.5*x*y")  # the diagonal tends to 1/2, neither 0 nor 1
+    report = scan_diagonal(spec, grid)
+    assert report.metadata["monotone_ok"]
+    assert report.metadata["limit"] is None
+    w = report.witness
+    assert w.x == w.y == report.metadata["limit_probe"]
+    _assert_replays(w, tnorm_values(spec, w.x, w.y), 0.0)
+    assert report.max_residual == w.gap
+
+
+def test_continuity_mismatch_witness_replays(grid):
+    # T steps down by half just above the diagonal; F(x, y) = T(x, x*y)
+    # reads only y <= x, where T = x*y, so F is continuous
+    spec = Expr("x*y*(1-min(max(100*(y-x),0),0.5))")
+    report = check_continuity_equivalence(spec, grid)
+    assert not report.passed
+    assert not report.metadata["t_continuous_at_grid_scale"]
+    assert report.metadata["f_continuous_at_grid_scale"]
+    w = report.witness
+    _assert_replays(w, tnorm_values(spec, w.x, w.y),
+                    tnorm_values(spec, _earlier(grid.axis(), w.x), w.y))
+    assert report.max_residual == w.gap == report.metadata["t_max_jump"]

@@ -94,6 +94,12 @@ def test_eval_lukasiewicz(capsys):
     assert out.strip() == "0.2"
 
 
+def test_eval_negative_zero_reads_as_zero(capsys):
+    code, out, err = run(capsys, "eval", "--tnorm", "ss:-1",
+                         "--x", "-0", "--y", "0")
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
 def test_eval_companion_expression(capsys):
     code, out, _ = run(capsys, "eval", "--tnorm", "luk",
                        "--f-expr", "max(x+x*y-1,0)", "--x", "0.8", "--y", "0.8")

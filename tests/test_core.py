@@ -455,7 +455,7 @@ def test_ordinal_sum_reads_a_signed_zero_pair_as_min_max():
     with np.errstate(invalid="ignore"), pytest.raises(DomainError):
         osum_by_masks(spec, -0.0, 0.0)
     for x, y in [(-0.0, 0.0), (0.0, -0.0)]:
-        assert eval_tnorm(spec, x, y) == 0.0
+        assert tnorm_values(spec, [x], [y])[0] == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -553,6 +553,18 @@ def test_pseudo_inverse_rejects_non_monotone():
 def test_unit_inputs_rejected(bad):
     with pytest.raises(DomainError):
         eval_tnorm(Minimum(), bad, 0.5)
+
+
+def test_unit_input_reads_negative_zero_as_zero():
+    """(-0.0)^-1 + 0^-1 is NaN in the ss:-1 kernel; the scalar path never
+    hands it a signed zero, and a summand bound -0 labels as 0."""
+    assert math.copysign(1.0, core.as_unit(-0.0)) == 1.0
+    with np.errstate(all="raise"):
+        assert eval_tnorm(SchweizerSklar(-1.0), -0.0, 0.0) == 0.0
+        assert eval_tnorm(SchweizerSklar(-1.0), 0.0, -0.0) == 0.0
+    assert Summand(-0.0, 0.5, Product()).lower == 0.0
+    assert core.spec_label(core.parse_spec("osum:[-0,0.5,prod]")) == \
+        "osum:[0,0.5,prod]"
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-4, float("nan"), float("inf")])
