@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Counterexample safari over random ordinal sums.
 
-Draws random ordinal sums (1-3 summands, random inner kinds), runs the
-targeted counterexample search on each, and reports the violation gaps.
+Draws random ordinal sums (1-3 summands, widths log-uniform down to 1e-5,
+random inner kinds), runs the targeted counterexample search on each, and
+reports the violation gaps.
 Every non-trivial ordinal sum must yield a witness; a run that finds none
 for some draw would be a bug worth keeping, so the script exits nonzero in
 that case and prints the offending construction.
@@ -27,24 +28,19 @@ INNER_KINDS = [
 
 
 def random_ordinal_sum(rng: SplitMix64) -> OrdinalSum:
+    """1-3 summands, one in each of as many equal slots of [0, 1]: its
+    width log-uniform between 1e-5 and the slot's, its place in the slot
+    uniform."""
     count = 1 + int(rng.next_unit() * 3) % 3
-    cuts = sorted(round(0.05 + 0.9 * rng.next_unit(), 3)
-                  for _ in range(2 * count))
+    slot = 1.0 / count
     summands = []
     for i in range(count):
-        lower, upper = cuts[2 * i], cuts[2 * i + 1]
-        if upper - lower < 0.05:
-            upper = min(1.0, lower + 0.05)
+        width = slot * (1e-5 / slot) ** rng.next_unit()
+        lower = i * slot + (slot - width) * rng.next_unit()
+        upper = min((i + 1) * slot, lower + width)
         inner = INNER_KINDS[int(rng.next_unit() * 4) % 4](rng.next_unit())
         summands.append((lower, upper, inner))
-    # drop summands that collide after the widening above
-    cleaned = []
-    last_upper = 0.0
-    for lower, upper, inner in summands:
-        if lower >= last_upper and lower < upper:
-            cleaned.append((lower, upper, inner))
-            last_upper = upper
-    return OrdinalSum(cleaned or summands[:1])
+    return OrdinalSum(summands)
 
 
 def main(argv=None):
@@ -69,13 +65,13 @@ def main(argv=None):
             continue
         w = report.witness
         gaps.append(w.gap)
-        print(f"[{i:03d}] gap {w.gap:8.5f} at (l={w.lam:.4g}, x={w.x:.4g},"
+        print(f"[{i:03d}] gap {w.gap:9.3e} at (l={w.lam:.4g}, x={w.x:.4g},"
               f" y={w.y:.4g}) via {report.metadata['witness_source']:>6}"
               f"  {label}")
 
     if gaps:
-        print(f"\n{len(gaps)} witnesses; gap min {min(gaps):.5f}, "
-              f"median {sorted(gaps)[len(gaps) // 2]:.5f}, max {max(gaps):.5f}")
+        print(f"\n{len(gaps)} witnesses; gap min {min(gaps):.3e}, "
+              f"median {sorted(gaps)[len(gaps) // 2]:.3e}, max {max(gaps):.3e}")
     if misses:
         print(f"{len(misses)} draws produced no witness:", *misses, sep="\n  ")
         return 1

@@ -5,7 +5,9 @@ For every catalog member (the acceptance parameter set) this runs: axiom
 suite, scaling sweep against the catalog companion (which is the intrinsic
 one, so there is one residual), strict-regularity predicate, diagonal scan,
 minimum-equivalences, continuity equivalence, and the classifier; then
-prints one row per member and a summary.
+prints one row per member and a summary.  Each fixed ordinal sum gets the
+counterexample search and the classifier; the script exits 1 when one is
+not NotGPH with a witness.
 
     python scripts/run_family_suite.py --points 101 --seed 0xC0FFEE
     python scripts/run_family_suite.py --json out/suite.json
@@ -130,6 +132,13 @@ def main(argv=None):
                                 "samples": grid.samples},
                        "members": rows, "ordinal_sums": sums}, fh, indent=2)
         print(f"\nwrote {args.json}")
+    # every non-trivial ordinal sum fails the scaling equation
+    misses = [s["tnorm"] for s in sums
+              if s["classified_as"] != "NotGPH" or s["witness"] is None]
+    if misses:
+        print(f"{len(misses)} ordinal sums not NotGPH with a witness:",
+              *misses, sep="\n  ")
+        return 1
     return 0
 
 

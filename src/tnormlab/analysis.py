@@ -759,22 +759,16 @@ def check_continuity_equivalence(spec: TNormSpec,
 # Counterexample search
 # --------------------------------------------------------------------------
 
-def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
-    """Hunt for a triple violating the intrinsic scaling equation.
-
-    Ordinal sums are the interesting prey: every non-trivial one fails, and
-    for them two targeted constructions are probed per summand [a, e]:
+def _targeted_probes(spec: TNormSpec, grid: GridSpec):
+    """(rows, witness, case) of the targeted probes of an ordinal sum: the
+    probes as metadata rows, and the witness and case of the first maximal
+    gap when it exceeds ``eq_tol``, else None.  Every non-trivial sum fails,
+    and two constructions are probed per summand [a, e]:
 
       case 1 (a > 0): scale so l*y pins the idempotent endpoint a exactly
         while the unscaled pair multiplies strictly inside the summand;
       case 2 (e < 1): scale the top corner (e, e) so the scaled pair lands
-        strictly inside the summand.
-
-    The returned witness is the largest-gap targeted probe when one
-    violates, otherwise the sweep's witness; the full sweep maximum is kept
-    in metadata either way.
-    """
-    sweep = check_gph(spec, None, grid)
+        strictly inside the summand."""
     probes = []
     if isinstance(spec, OrdinalSum):
         for s in spec.summands:
@@ -788,24 +782,35 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
                 if x <= e * e:
                     x = 0.5 * (e * e + e)
                 probes.append(("case2", x / e, e, e))
+    if not probes:
+        return [], None, None
+    cases = [case for case, *_ in probes]
+    lam, x, y = np.asarray([p[1:] for p in probes]).T
+    gap, *slots = _scaling_piece(spec, Canonical(spec), lam, x, y,
+                                 tnorm_values(spec, x, y))
+    rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
+    targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
+                for row in rows]
+    i = int(np.argmax(gap))  # the first maximal gap
+    if gap[i] <= grid.eq_tol:
+        return targeted, None, None
+    return targeted, _witness_at(i, *slots), cases[i]
 
-    targeted = []
-    witness = sweep.witness
-    max_residual = sweep.max_residual
+
+def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
+    """Hunt for a triple violating the intrinsic scaling equation.
+
+    The sweep runs, then the targeted probes of an ordinal sum
+    (:func:`_targeted_probes`).  The witness is the first maximal probe when
+    it exceeds ``eq_tol`` (so probing first decides it without the sweep),
+    else the sweep's; metadata keeps the sweep maximum either way.
+    """
+    sweep = check_gph(spec, None, grid)
+    targeted, probed, case = _targeted_probes(spec, grid)
+    witness, max_residual = sweep.witness, sweep.max_residual
     source = "sweep" if witness is not None else None
-    if probes:
-        cases = [case for case, *_ in probes]
-        lam, x, y = np.asarray([p[1:] for p in probes]).T
-        gap, *slots = _scaling_piece(spec, Canonical(spec), lam, x, y,
-                                     tnorm_values(spec, x, y))
-        rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
-        targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
-                    for row in rows]
-        i = int(np.argmax(gap))  # the first maximal gap
-        if gap[i] > grid.eq_tol:
-            witness = _witness_at(i, *slots)
-            max_residual = witness.gap
-            source = cases[i]
+    if probed is not None:
+        witness, max_residual, source = probed, probed.gap, case
 
     passed = witness is None
     metadata = {

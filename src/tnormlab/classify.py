@@ -14,7 +14,8 @@ residual is within eq_tol is the verdict, so a parametric family is never
 returned with validation residual above eq_tol.  An estimator runs only
 when every earlier candidate has failed, so the fit costs nothing for the
 closed kinds.  When none passes, the verdict is NotGPH with the smallest
-validation residual and a scaling-equation witness.
+validation residual and a scaling-equation witness, from an ordinal sum's
+targeted probes first and the full sweep only when no probe exceeds eq_tol.
 
 The exponent fit reads the diagonal, where the family gives
 T(z, z) = (2z^b - 1)^(1/b): it evaluates T(z, z) once on a fixed axis of
@@ -41,7 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import GridSpec, check_axioms, diagonal_shelf, find_gph_counterexample
+from .analysis import (GridSpec, _targeted_probes, check_axioms, diagonal_shelf,
+                       find_gph_counterexample)
 from .core import (
     CShelf,
     Drastic,
@@ -272,13 +274,16 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                 return ClassificationResult(family, parameter, residual,
                                             tuple(evidence))
 
-    counterexample = find_gph_counterexample(spec, grid)
+    _, witness, _ = _targeted_probes(spec, grid)
+    max_residual = witness.gap if witness else None
+    if witness is None:
+        counterexample = find_gph_counterexample(spec, grid)
+        witness, max_residual = counterexample.witness, counterexample.max_residual
     evidence.append({
         "test": "gph_counterexample",
-        "passed": counterexample.passed,
-        "detail": {"witness": (counterexample.witness.to_dict()
-                               if counterexample.witness else None),
-                   "max_residual": counterexample.max_residual},
+        "passed": witness is None,
+        "detail": {"witness": witness.to_dict() if witness else None,
+                   "max_residual": max_residual},
     })
 
     return ClassificationResult("NotGPH", None, min(residuals), tuple(evidence))

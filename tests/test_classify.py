@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from tnormlab.analysis import GridSpec
+from tnormlab import analysis
+from tnormlab.analysis import GridSpec, find_gph_counterexample
 from tnormlab.classify import (
     FitError,
     PreconditionError,
@@ -15,15 +16,18 @@ from tnormlab.classify import (
 from tnormlab.core import (
     CShelf,
     Expr,
+    Lukasiewicz,
     Minimum,
+    OrdinalSum,
     Product,
     SchweizerSklar,
     parse_spec,
+    spec_label,
     tnorm_values,
 )
 from tnormlab.rng import SplitMix64
 
-from conftest import FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
+from conftest import EXPR_TNORMS, FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
 
 # the package re-exports the function under the module's name
 classify_module = importlib.import_module("tnormlab.classify")
@@ -226,6 +230,71 @@ def test_classify_ordinal_sum_not_gph(spec, grid):
     assert cited and cited[0]["detail"]["witness"] is not None
     assert not any(e["passed"] for e in result.evidence
                    if e["test"].startswith("validate_"))
+
+
+def seeded_ordinal_sums(count, seed=7):
+    """Ordinal sums drawn as the battery draws them: 1 to 3 summands by
+    index, cuts in [0.05, 0.95] rounded to 3 places, each summand widened
+    to at least 0.05, colliding ones dropped, and the inner kinds in turn."""
+    kinds = [lambda u: Lukasiewicz(), lambda u: Product(),
+             lambda u: SchweizerSklar(0.5 + 3.0 * u),
+             lambda u: SchweizerSklar(-2.0 + 1.5 * u)]
+    rng = SplitMix64(seed)
+    sums = []
+    for index in range(count):
+        cuts = sorted(round(0.05 + 0.9 * rng.next_unit(), 3)
+                      for _ in range(2 * (1 + index % 3)))
+        summands, last = [], 0.0
+        for i, (lower, upper) in enumerate(zip(cuts[::2], cuts[1::2])):
+            upper = max(upper, min(1.0, lower + 0.05))
+            inner = kinds[(index + i) % 4](rng.next_unit())
+            if lower >= last:
+                summands.append((lower, upper, inner))
+                last = upper
+        sums.append(OrdinalSum(summands))
+    return sums
+
+
+PROBED_SUMS = ORDINAL_SUMS + seeded_ordinal_sums(10)
+
+
+def assert_cites_the_search(result, search):
+    """classify's gph_counterexample evidence is the counterexample
+    search's report, field by field."""
+    (cited,) = [e for e in result.evidence if e["test"] == "gph_counterexample"]
+    assert cited["passed"] == search.passed
+    assert cited["detail"]["witness"] == search.witness.to_dict()
+    assert cited["detail"]["max_residual"] == search.max_residual
+
+
+@pytest.mark.parametrize("spec", PROBED_SUMS, ids=map(spec_label, PROBED_SUMS))
+def test_classify_takes_a_probe_witness_without_the_sweep(spec, monkeypatch):
+    grid = GridSpec(points=51)
+    search = find_gph_counterexample(spec, grid)
+    assert search.metadata["witness_source"] in ("case1", "case2")
+
+    def no_sweep(*args):
+        raise RuntimeError("classify swept a probe-decided sum")
+
+    monkeypatch.setattr(analysis, "check_gph", no_sweep)
+    result = classify(spec, grid)
+    assert result.family == "NotGPH"
+    assert_cites_the_search(result, search)
+
+
+def test_classify_sweeps_a_spec_without_probes(monkeypatch):
+    spec = EXPR_TNORMS[1]  # Einstein
+    grid = GridSpec(points=51)
+    search = find_gph_counterexample(spec, grid)
+    assert search.metadata["witness_source"] == "sweep"
+    sweeps = []
+    sweep = analysis.check_gph
+    monkeypatch.setattr(analysis, "check_gph",
+                        lambda *args: sweeps.append(args) or sweep(*args))
+    result = classify(spec, grid)
+    assert result.family == "NotGPH"
+    assert len(sweeps) == 1
+    assert_cites_the_search(result, search)
 
 
 def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):

@@ -278,6 +278,20 @@ def test_deep_expression_exits_2(capsys, source):
     assert "expression" in err
 
 
+def assert_exit_code_contract(argv):
+    """The run exits 0, 1 or 2: on 2 with nothing on stdout and one line on
+    stderr, otherwise with output on stdout and nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+
+
 #: DSL strings: grammar-shaped ones (literals that overflow, vanish or are
 #: zero included) and arbitrary text over the DSL's own characters.
 _DSL_SOURCES = st.one_of(
@@ -307,15 +321,74 @@ def test_exit_code_contract_on_drawn_expressions(source, command, point):
         argv = ["eval", *argv, "--x", point, "--y", "0.25"]
     else:
         argv = ["verify", *argv, "--points", "5", "--samples", "0"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert_exit_code_contract(argv)
+
+
+#: texts for a mini-syntax number: drawn floats, texts that read as nan,
+#: inf, zero or a subnormal, and arbitrary text over a number's characters.
+_NUMBER_TEXTS = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0).map(repr),
+    st.sampled_from(["", "0", "-0", "1", "0.5", "nan", "inf", "-inf", "1e999",
+                     "1e-300", "5e-324", "0x1p-3"]),
+    st.text(alphabet="0123456789.e+-", max_size=8),
+)
+#: summand kinds: well-formed ones half the time, else malformed or nested.
+_INNER_TOKENS = st.one_of(
+    st.sampled_from(["luk", "prod", "min", "drastic", "ss:2", "ss:-0.5",
+                     "cshelf:0.5"]),
+    st.one_of(st.sampled_from(["", "osum:[0,1,luk]",
+                               "osum:[0.2,0.4,prod;0.5,0.9,luk]"]),
+              _NUMBER_TEXTS.map("ss:{}".format),
+              _NUMBER_TEXTS.map("cshelf:{}".format)),
+)
+
+
+@st.composite
+def _ordinal_sum_tokens(draw):
+    """osum:[...] with 0 to 3 summands in drawn order.  Mostly each starts
+    at a drawn cut and is log-uniform wide, down to 1e-6 or to 1e-300 (so
+    its bounds may round to equal), clipped at the next cut; else its
+    bounds are drawn as text."""
+    count = draw(st.integers(min_value=0, max_value=3))
+    cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                min_size=count, max_size=count, unique=True)))
+    summands = []
+    for lower, room in zip(cuts, [*cuts[1:], 1.0]):
+        if draw(st.integers(min_value=0, max_value=3)):
+            digits = draw(st.sampled_from([6.0, 6.0, 300.0]))
+            width = 10.0 ** -draw(st.floats(min_value=0.0, max_value=digits))
+            bounds = f"{lower!r},{min(room, lower + width)!r}"
+        else:
+            bounds = f"{draw(_NUMBER_TEXTS)},{draw(_NUMBER_TEXTS)}"
+        summands.append(f"{bounds},{draw(_INNER_TOKENS)}")
+    return "osum:[" + ";".join(summands) + "]"
+
+
+_MINI_SYNTAX_TOKENS = st.one_of(
+    _NUMBER_TEXTS.map("ss:{}".format),
+    _NUMBER_TEXTS.map("cshelf:{}".format),
+    _ordinal_sum_tokens(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=_MINI_SYNTAX_TOKENS,
+       command=st.sampled_from(["eval", "verify", "counterexample",
+                                "classify"]))
+@example(token="osum:[0,0.5,osum:[0,1,luk]]", command="classify")
+@example(token="osum:[0.5,0.5,luk]", command="counterexample")
+@example(token="osum:[0,1e-300,prod]", command="classify")
+@example(token="ss:1e999", command="verify")
+@example(token="cshelf:nan", command="eval")
+def test_exit_code_contract_on_drawn_tokens(token, command):
+    """Any mini-syntax token gives exit 0, 1 or 2, and exit 2 one stderr
+    line."""
+    argv = [command, "--tnorm", token]
+    if command == "eval":
+        argv += ["--x", "0.5", "--y", "0.25"]
     else:
-        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+        argv += ["--points", "5", "--samples", "0"]
+    assert_exit_code_contract(argv)
 
 
 @pytest.mark.parametrize("argv", [
