@@ -287,13 +287,14 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # --------------------------------------------------------------------------
 
 def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t,
-                   at=None):
+                   at=None, lhs=None):
     """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
     equation, lhs = T(l*x, l*y) and rhs = F(l, T(x, y)).  With ``at``
     omitted ``t`` is T(x, y) and both sides are evaluated entrywise; else
     ``lam`` is a block of lambdas on a leading axis, ``t`` holds distinct
-    values with t[at] = T(x, y), and F(l, t) is gathered at ``at``."""
-    lhs = tnorm_values(spec, lam * x, lam * y)
+    values with t[at] = T(x, y), and F(l, t) is gathered at ``at``.
+    ``lhs``, when given, is T(l*x, l*y) already."""
+    lhs = tnorm_values(spec, lam * x, lam * y) if lhs is None else lhs
     if at is None:
         rhs = companion_values(comp, lam, t)
     else:
@@ -332,19 +333,23 @@ def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
     block of consecutive lambda slices on a leading axis, at most _BLOCK
     triples or one slice.  The companion side reads (x, y) only through
     T(x, y), so each slice evaluates it once per distinct T value and
-    gathers.  Its maximum is the reference sweep's; its errors need not
-    be."""
+    gathers.  So does the lhs with a spec's ``argument_power``, once per
+    (l, axis point).  Its maximum is the reference sweep's; its errors need
+    not be."""
     g = grid.axis()
-    if spec.symmetric:
-        i, j = np.triu_indices(g.size)
-        x, y = g[i], g[j]
-    else:
-        x, y = g[:, None], g[None, :]
+    n = g.size
+    ix, iy = np.triu_indices(n) if spec.symmetric else np.ogrid[:n, :n]
+    x, y = g[ix], g[iy]
     t, at = _distinct(tnorm_values(spec, x, y))
     lams = g.reshape((-1,) + (1,) * x.ndim)
     step = max(1, _BLOCK // at.size)
-    for start in range(0, g.size, step):
-        yield _scaling_piece(spec, comp, lams[start:start + step], x, y, t, at)
+    for start in range(0, n, step):
+        lam, lhs = lams[start:start + step], None
+        if spec.argument_power is not None:
+            table = spec.argument_power(g[start:start + step, None] * g)
+            lhs = spec.join(lam * x, lam * y, np.take(table, ix, axis=1),
+                            np.take(table, iy, axis=1))
+        yield _scaling_piece(spec, comp, lam, x, y, t, at, lhs)
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -358,10 +363,10 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
     ``symmetric`` spec both sides are unchanged by swapping x and y, bit
     for bit, so each l slice sweeps only x <= y: the first maximal entry
     of a slice always lies there, and the witness is the full sweep's.
-    The grid sweep evaluates consecutive l slices together, in blocks of
-    at most 2**14 triples (one slice when it holds more), and the
-    companion once per distinct bit pattern of T(x, y) per l, gathered,
-    so every rhs is the direct evaluation's float.  When it raises, the
+    The grid sweep runs l slices in blocks of at most 2**14 triples (one
+    slice when it holds more), the companion once per distinct T(x, y)
+    per l and an ``argument_power`` once per (l, axis point), gathered,
+    so each side is the direct evaluation's float.  When it raises, the
     reference sweep runs instead, one full l slice at a time evaluated
     entrywise, so an error names the node and point it meets first.
     """

@@ -87,6 +87,9 @@ MIN_ABS_BETA = 1e-3
 #: clamp is treated as an evaluation error.
 CLAMP_SLACK = 1e-9
 
+#: exponents numpy's pow runs as a copy or a square: no table or mask pays.
+_FAST_POW = (1.0, 2.0)
+
 
 class DomainError(Exception):
     """A value left [0, 1] (or was NaN) where a unit value is required."""
@@ -125,6 +128,8 @@ class _Kind:
     catalog = True
     #: whether ``values(x, y)`` and ``values(y, x)`` agree bit for bit.
     symmetric = True
+    #: f of a kernel ``join(x, y, f(x), f(y))`` if it costs more than a gather.
+    argument_power = None
 
     def label(self) -> str:
         params = [_format_param(getattr(self, f.name)) for f in fields(self)]
@@ -181,15 +186,25 @@ class SchweizerSklar(_Kind):
                 " (use Product for the beta -> 0 limit)")
         object.__setattr__(self, "beta", b)
 
+    argument_power = property(
+        lambda self: None if self.beta in _FAST_POW else self.power)
+
+    @np.errstate(divide="ignore", over="ignore")
+    def power(self, u):
+        return np.power(u, self.beta)
+
     def values(self, x, y):
-        """The formula over the whole arrays, exact at the neutral element."""
-        beta = self.beta
-        inv = 1.0 / beta
-        with np.errstate(divide="ignore", over="ignore"):
-            s = np.power(x, beta) + np.power(y, beta) - 1.0
+        return self.join(x, y, self.power(x), self.power(y))
+
+    @np.errstate(over="ignore")
+    def join(self, x, y, px, py):
+        """T from px = x^b and py = y^b, exact at the neutral element."""
+        beta, inv = self.beta, 1.0 / self.beta
+        s = px + py - 1.0
         if beta > 0.0:
             s = np.maximum(s, 0.0)  # pow(0, 1/b) is slow: skip the zeros, keep NaN
-            out = np.power(s, inv, out=np.zeros(np.shape(s)), where=s != 0.0)
+            out = (np.asarray(np.power(s, inv)) if inv in _FAST_POW else
+                   np.power(s, inv, out=np.zeros(np.shape(s)), where=s != 0.0))
         else:
             out = np.asarray(np.power(s, inv))
             # s = +inf where an argument is 0 (T = 0 already) or where x^b

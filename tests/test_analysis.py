@@ -347,13 +347,24 @@ def test_gph_evaluates_companion_once_per_distinct_t(monkeypatch, spec):
 
 #: (t-norm token, Expr companion or None) pairs swept against the slice by
 #: slice reference: catalog kinds, a 3-summand ordinal sum, Hamacher as an
-#: expression (mirror symmetric: the half cube) and an Expr companion.
+#: expression (mirror symmetric: the half cube) and an Expr companion; then
+#: Schweizer-Sklar members on the tabulated powers (ss:1 joins its plain
+#: powers), ss:-150 with powers that overflow to inf and ss:150 with powers
+#: that underflow to 0.
 BLOCK_CASES = [
     ("ss:-2", None), ("ss:3", None), ("luk", None), ("cshelf:0.25", None),
     ("drastic", None), ("osum:[0.1,0.3,prod;0.4,0.7,luk;0.8,0.95,ss:2]", None),
-    ("expr:x*y/max(x+y-x*y,1e-300)", None), ("prod", "x*y")]
+    ("expr:x*y/max(x+y-x*y,1e-300)", None), ("prod", "x*y"),
+    ("ss:-0.5", None), ("ss:0.5", None), ("ss:1", None), ("ss:-150", None),
+    ("ss:150", None)]
 BLOCK_IDS = ["ss:-2", "ss:3", "luk", "cshelf", "drastic", "osum3", "hamacher",
-             "prod-xy"]
+             "prod-xy", "ss:-0.5", "ss:0.5", "ss:1", "ss:-150", "ss:150"]
+#: every case at 11, 51 and 101 points, the Schweizer-Sklar ones at 151 too,
+#: where a block is one slice.
+BLOCK_SWEEPS = [
+    pytest.param(tnorm, f, points, id=f"{name}-{points}")
+    for (tnorm, f), name in zip(BLOCK_CASES, BLOCK_IDS)
+    for points in (11, 51, 101) + ((151,) if tnorm.startswith("ss:") else ())]
 
 
 def sliced_gph_slices(spec, comp, grid, half=False):
@@ -382,8 +393,7 @@ def rows_digest(rows) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("points", [11, 51, 101])
-@pytest.mark.parametrize("tnorm,f", BLOCK_CASES, ids=BLOCK_IDS)
+@pytest.mark.parametrize("tnorm,f,points", BLOCK_SWEEPS)
 def test_blocked_sweep_matches_slice_by_slice(monkeypatch, tnorm, f, points):
     """Blocks of lambda slices give the report of the slice by slice sweep
     bit for bit.  The least positive eq_tol gives every nonzero residual a
@@ -411,6 +421,42 @@ def test_residual_rows_match_slice_by_slice(tnorm, f, points):
         for res, lam, x, y, lhs, rhs in slices)
     assert rows_digest(residual_rows(spec, comp, grid)) == \
         rows_digest(expected)
+
+
+SS_MATRIX = [(name, s) for name, s, _ in FAMILY_MATRIX
+             if isinstance(s, SchweizerSklar)]
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+@pytest.mark.parametrize("spec", [s for _, s in SS_MATRIX],
+                         ids=[name for name, _ in SS_MATRIX])
+def test_tabulated_powers_give_the_kernel_bits(spec, half):
+    """Each blocked piece's lhs is T(l*x, l*y) bit for bit, whether the
+    sweep gathers the powers from its table or not, on the half and on the
+    full cube (the layout of a spec that is not symmetric), the l = 1 and
+    x = 0 rows included."""
+    if not half:
+        spec = SchweizerSklar(spec.beta)
+        object.__setattr__(spec, "symmetric", False)
+    lams, xs = set(), set()
+    for _, lam, x, y, lhs, _ in an._gph_slices(spec, Canonical(spec),
+                                               GridSpec(points=51)):
+        want = tnorm_values(spec, lam * x, lam * y)
+        assert lhs.shape == want.shape
+        assert np.array_equal(lhs.view(np.int64), want.view(np.int64))
+        lams.update(np.ravel(lam).tolist())
+        xs.update(np.ravel(x).tolist())
+    assert 1.0 in lams and 0.0 in xs
+
+
+def test_only_costly_argument_work_is_tabulated():
+    """Of the catalog, only Schweizer-Sklar declares per-argument work, and
+    not where its power is a copy or a square (b = 1, 2), which costs less
+    than a gather."""
+    tabulated = [name for name, spec, _ in FAMILY_MATRIX
+                 if spec.argument_power is not None]
+    assert tabulated == ["ss:-2", "ss:-1", "ss:-0.5", "ss:0.5", "ss:3"]
+    assert all(s.argument_power is None for s in ORDINAL_SUMS + EXPR_TNORMS)
 
 
 def test_blocked_sweep_witness_in_a_later_slice_of_its_block():

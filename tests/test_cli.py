@@ -324,6 +324,20 @@ def test_exit_code_contract_on_drawn_expressions(source, command, point):
     assert_exit_code_contract(argv)
 
 
+@settings(max_examples=100, deadline=None)
+@given(source=_DSL_SOURCES, command=st.sampled_from(["eval", "verify"]),
+       tnorm=st.sampled_from(["prod", "min", "ss:-0.5", "ss:3"]))
+def test_exit_code_contract_on_drawn_companions(source, command, tnorm):
+    """Any --f-expr companion gives exit 0, 1 or 2, and exit 2 one stderr
+    line.  The ``=`` form keeps a source that starts with '-' a value."""
+    argv = [command, "--tnorm", tnorm, f"--f-expr={source}"]
+    if command == "eval":
+        argv += ["--x", "0.5", "--y", "0.25"]
+    else:
+        argv += ["--points", "5", "--samples", "0"]
+    assert_exit_code_contract(argv)
+
+
 #: texts for a mini-syntax number: drawn floats, texts that read as nan,
 #: inf, zero or a subnormal, and arbitrary text over a number's characters.
 _NUMBER_TEXTS = st.one_of(
