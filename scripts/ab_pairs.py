@@ -13,6 +13,13 @@ median over the parent's, the pairs the change wins (ties count for
 neither side) and whether a gain holds: the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more
 than the parent's interquartile range.
+
+Next to the gain it prints the no-regression rule, with each metric's
+``bound`` from BENCHMARK.json taken as a fraction of the parent's median.
+A metric is worse when the change's median is worse than the parent's by
+more than the bound.  It is unresolved when the parent's interquartile
+range is wider than the bound, so the runs cannot tell a move of that
+size, unless every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -40,9 +47,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of ``better`` (name -> "lower" or "higher") that
-    every run reports, from ``pairs`` of (parent, change) metric values."""
+    every run reports, from ``pairs`` of (parent, change) metric values.
+    ``bounds`` (name -> fraction of the parent's median) decides ``worse``
+    and ``unresolved``; a metric without a bound is neither."""
     rows = []
     for name, direction in better.items():
         if not all(name in p and name in c for p, c in pairs):
@@ -54,9 +64,14 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
         gain = (wins >= math.ceil(0.9 * len(pairs))
                 and sign * (cq[1] - pq[1]) > pq[2] - pq[0])
+        allowed = (bounds or {}).get(name, math.inf) * abs(pq[1])
+        worse = sign * (cq[1] - pq[1]) < -allowed
+        beats_all = all(sign * (c - p) > 0.0 for p in parent for c in change)
+        unresolved = pq[2] - pq[0] > allowed and not beats_all
         rows.append({"metric": name, "better": direction, "parent": pq,
                      "change": cq, "ratio": cq[1] / pq[1] if pq[1] else math.nan,
-                     "wins": wins, "pairs": len(pairs), "gain": gain})
+                     "wins": wins, "pairs": len(pairs), "gain": gain,
+                     "worse": worse, "unresolved": unresolved})
     return rows
 
 
@@ -65,12 +80,17 @@ def format_rows(rows: list[dict]) -> str:
     def q(t):
         return "/".join(f"{v:.4g}" for v in t)
 
+    def yes(flag):
+        return "yes" if flag else "no"
+
     lines = [f"{'metric':18s} {'better':6s} {'parent q1/med/q3':26s}"
-             f" {'change q1/med/q3':26s} {'ratio':>7s} wins  gain"]
+             f" {'change q1/med/q3':26s} {'ratio':>7s} wins  gain  worse"
+             f" unresolved"]
     for r in rows:
         lines.append(f"{r['metric']:18s} {r['better']:6s} {q(r['parent']):26s}"
                      f" {q(r['change']):26s} {r['ratio']:7.4f}"
-                     f" {r['wins']:2d}/{r['pairs']:<2d} {'yes' if r['gain'] else 'no'}")
+                     f" {r['wins']:2d}/{r['pairs']:<2d} {yes(r['gain']):5s}"
+                     f" {yes(r['worse']):5s} {yes(r['unresolved'])}")
     return "\n".join(lines)
 
 
@@ -94,6 +114,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     pairs = []
     for k in range(args.pairs):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
@@ -103,7 +124,7 @@ def main(argv=None) -> int:
         # every run's metrics, for the record
         print(json.dumps({"pair": k + 1, "first": order[0], **got}),
               file=sys.stderr, flush=True)
-    print(format_rows(summarize(pairs, better)))
+    print(format_rows(summarize(pairs, better, bounds)))
     return 0
 
 

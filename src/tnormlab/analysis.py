@@ -56,7 +56,6 @@ __all__ = [
     "check_pseudo_homogeneous",
     "check_archimedean",
     "scan_diagonal",
-    "diagonal_shelf",
     "check_tm_equivalences",
     "check_continuity_equivalence",
     "find_gph_counterexample",
@@ -578,29 +577,6 @@ def check_archimedean(spec: TNormSpec,
 # Scan of the diagonal
 # --------------------------------------------------------------------------
 
-def diagonal_shelf(g: np.ndarray, d: np.ndarray,
-                   tol: float) -> tuple[bool, Optional[tuple[float, float]]]:
-    """Zero/identity structure of a diagonal ``d`` sampled on the grid ``g``.
-
-    Returns whether ``d`` vanishes (within ``tol``) on the whole interior
-    of the grid, and, when the interior instead starts with a zero plateau
-    followed only by identity values, the last plateau point and the first
-    identity point (None otherwise).  The shelf edge lies between them.
-    """
-    interior = (g > 0.0) & (g < 1.0)
-    gi = g[interior]
-    di = d[interior]
-    is_zero = di <= tol
-    if bool(np.all(is_zero)):
-        return True, None
-    if not is_zero[0]:
-        return False, None
-    k = int(np.argmin(is_zero))  # first non-plateau index; >=1 here
-    if not np.all(di[k:] >= gi[k:] - tol):
-        return False, None
-    return False, (float(gi[k - 1]), float(gi[k]))
-
-
 def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     """Monotonicity of the diagonal x -> T(x, x), its limit at 1, and the
     shelf edge.
@@ -611,9 +587,11 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
 
     The limit estimate is the diagonal at 1 - step_h and must land within
     ``max(eq_tol, 10 * step_h)`` of 0 or of 1 (the only limits a t-norm
-    compatible with the scaling equation can have).  A shelf edge is
-    reported when a zero plateau on the interior grid is immediately
-    followed by identity diagonal values.
+    compatible with the scaling equation can have).  The shelf rule, on
+    the interior grid with zero meaning at most ``eq_tol``: the diagonal is
+    ``zero_on_interior``, or a zero plateau then within ``eq_tol`` of the
+    identity (the shape of ``cshelf:c``), whose last plateau point and next
+    point are ``plateau_end`` and ``shelf_edge``; else both are None.
     """
     g = grid.axis()
     d = tnorm_values(spec, g, g)
@@ -635,8 +613,14 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     else:
         limit = None
 
-    zero_on_interior, shelf = diagonal_shelf(g, d, tol)
-    plateau_end, shelf_edge = shelf if shelf is not None else (None, None)
+    interior = (g > 0.0) & (g < 1.0)
+    gi, di = g[interior], d[interior]
+    is_zero = di <= tol
+    zero_on_interior = bool(is_zero.all())
+    k = int(np.argmin(is_zero))  # the first interior point off the plateau
+    plateau_end = shelf_edge = None
+    if not zero_on_interior and k > 0 and np.all(di[k:] >= gi[k:] - tol):
+        plateau_end, shelf_edge = float(gi[k - 1]), float(gi[k])
 
     passed = mono_ok and limit is not None
     witness = None
@@ -838,15 +822,6 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
 RESIDUAL_CSV_HEADER = "lambda,x,y,lhs,rhs,residual"
 
 
-def _residual_slices(spec: TNormSpec, f: Optional[CompanionF],
-                     grid: GridSpec):
-    """(lambda, lhs, rhs, residual) of each grid lambda in scan order, the
-    reference sweep's tables over the full (x, y) grid."""
-    comp = Canonical(spec) if f is None else f
-    for res, lam, _, _, lhs, rhs in _reference_slices(spec, comp, grid):
-        yield lam, lhs, rhs, res
-
-
 def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
                   grid: GridSpec = GridSpec()):
     """Yield (lambda, x, y, lhs, rhs, residual) for every grid triple, in
@@ -855,7 +830,8 @@ def residual_rows(spec: TNormSpec, f: Optional[CompanionF],
     g = grid.axis()
     flat_x = np.repeat(g, g.size).tolist()
     flat_y = np.tile(g, g.size).tolist()
-    for lam, lhs, rhs, res in _residual_slices(spec, f, grid):
+    comp = Canonical(spec) if f is None else f
+    for res, lam, _, _, lhs, rhs in _reference_slices(spec, comp, grid):
         yield from zip(repeat(lam), flat_x, flat_y, lhs.ravel().tolist(),
                        rhs.ravel().tolist(), res.ravel().tolist())
 
@@ -868,10 +844,10 @@ def residual_csv(spec: TNormSpec, f: Optional[CompanionF],
     axis = [repr(v) for v in grid.axis().tolist()]
     rows = [f",{x},{y},%s,%s,%s\n" for x in axis for y in axis]
     yield RESIDUAL_CSV_HEADER + "\n"
-    for lam, *sides in _residual_slices(spec, f, grid):
-        bits, at = np.unique(np.stack(sides, axis=-1).ravel().view(np.int64),
-                             return_inverse=True)
-        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                        dtype=object)[at]
+    comp = Canonical(spec) if f is None else f
+    for res, lam, _, _, lhs, rhs in _reference_slices(spec, comp, grid):
+        values, at = _distinct(np.stack([lhs, rhs, res], axis=-1))
+        text = np.array([repr(v) for v in values.tolist()],
+                        dtype=object)[at.ravel()]
         head = repr(lam)
         yield (head + head.join(rows)) % tuple(text.tolist())

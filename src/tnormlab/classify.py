@@ -5,11 +5,11 @@ catalog family it is (estimating the exponent or the shelf edge where the
 family is parametric) or certify NotGPH with a scaling-equation witness.
 
 Decision procedure: a fixed table of estimators nominates candidates in
-order -- Minimum; Drastic; CShelf at the diagonal's jump point when the grid
-diagonal is a zero plateau followed by identity (edge refined by
-bisection); Product; Schweizer-Sklar at the fitted exponent (its sign picks
-the branch).  Validation decides: each candidate is compared with the spec
-on a validation lattice offset from the decision grid, and the first whose
+order -- Minimum; Drastic; CShelf in the shelf bracket that scan_diagonal
+reports (plateau_end, shelf_edge), its edge refined by bisection; Product;
+Schweizer-Sklar at the fitted exponent (its sign picks the branch).
+Validation decides: each candidate is compared with the spec on a
+validation lattice offset from the decision grid, and the first whose
 residual is within eq_tol is the verdict, so a parametric family is never
 returned with validation residual above eq_tol.  An estimator runs only
 when every earlier candidate has failed, so the fit costs nothing for the
@@ -26,11 +26,12 @@ over [-60, -1e-3] u [1e-3, 60] (b = 0 always solves the power-sum form and
 is excluded; beyond |b| = 60 the family is numerically indistinguishable
 from min on binary64 grids).  The family decreases pointwise in b
 (Klement, Mesiar & Pap, Triangular Norms, ch. 4), so the sign of
-T_b(x, y) - t goes from + to - once: the sign at b = 1e-3 picks the side,
+T_b(x, y) - t goes from + to - once: its sign near b = 1e-3 picks the side,
 a row whose sign does not change over its side has no root, and one
 bisection runs over all other rows together.  The estimate is the median
 of per-sample roots, which ignores the few samples that land near the
-max{., 0} fold.
+max{., 0} fold.  Each side is bracketed 0.1% past both ends and the
+estimate clipped back, so a root on an end (ss:60) survives rounding.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GridSpec, _targeted_probes, check_axioms, diagonal_shelf,
-                       find_gph_counterexample)
+from .analysis import (GridSpec, _targeted_probes, check_axioms,
+                       find_gph_counterexample, scan_diagonal)
 from .core import (
     CShelf,
     Drastic,
@@ -65,7 +66,8 @@ __all__ = [
     "fit_beta_from_triples",
 ]
 
-#: search range for the Schweizer-Sklar exponent.
+#: range of |b| for the Schweizer-Sklar exponent, from the least that core
+#: accepts; the fit brackets 0.1% past each end and clips back into it.
 BETA_BRACKET = (1e-3, 60.0)
 
 #: samples whose t differs from x*y by less than this are uninformative for
@@ -130,11 +132,14 @@ def fit_beta_from_triples(triples: np.ndarray) -> float:
 
     The family decreases pointwise in the exponent, so the sign of
     T_b(x, y) - t goes from + to - exactly once as b increases.  A row's
-    side is [1e-3, 60] when that sign is >= 0 at b = 1e-3 and [-60, -1e-3]
-    otherwise; a row whose sign does not change over its side has no root
-    there (it sits in the gap around 0 or beyond |b| = 60).  An exact zero
-    at an end is the root; all other rows are bisected together to width
-    ``_BISECT_TOL``, stopping at an exact zero, and yield their midpoints.
+    side is [0.999e-3, 60.06] when that sign is >= 0 at b = 0.999e-3 and
+    [-60.06, -0.999e-3] otherwise, 0.1% past the ends of ``BETA_BRACKET``
+    so that rounding cannot push a root on an end out; a row whose sign
+    does not change over its side has no root there (it sits in the gap
+    around 0 or beyond |b| = 60).  An exact zero at an end is the root; all
+    other rows are bisected together to width ``_BISECT_TOL``, stopping at
+    an exact zero, and yield their midpoints.  The median is clipped into
+    the range.
 
     Raises :class:`ValueError` unless every x, y and t lies in (0, 1], and
     :class:`FitError` when more than ``_MAX_MISSING_FRACTION`` of the
@@ -144,7 +149,7 @@ def fit_beta_from_triples(triples: np.ndarray) -> float:
     if not np.all((triples > 0.0) & (triples <= 1.0)):
         raise ValueError("every x, y and t must lie in (0, 1]")
     x, y, t = triples.T
-    near, far = BETA_BRACKET
+    near, far = BETA_BRACKET[0] * (1 - 1e-3), BETA_BRACKET[1] * (1 + 1e-3)
     pos = _sign(near, x, y, t) >= 0.0
     lo, hi = np.where(pos, near, -far), np.where(pos, far, -near)
     s_lo, s_hi = _sign(lo, x, y, t), _sign(hi, x, y, t)
@@ -163,7 +168,8 @@ def fit_beta_from_triples(triples: np.ndarray) -> float:
         s_mid = _sign(mid, x, y, t)
         lo = np.where(live & (s_mid >= 0.0), mid, lo)
         hi = np.where(live & (s_mid <= 0.0), mid, hi)
-    return float(np.median(0.5 * (lo + hi)))
+    beta = float(np.median(0.5 * (lo + hi)))
+    return float(np.sign(beta) * np.clip(abs(beta), *BETA_BRACKET))
 
 
 def _diagonal_rows(spec: TNormSpec) -> np.ndarray:
@@ -193,13 +199,13 @@ def _validation_test(family: str) -> str:
 
 
 def _shelf_edge(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
-    """CShelf at the diagonal's jump point when the grid diagonal is a zero
-    plateau followed by identity; nothing otherwise."""
-    g = grid.axis()
-    _, shelf = diagonal_shelf(g, tnorm_values(spec, g, g), grid.eq_tol)
-    if shelf is None:
+    """CShelf at the shelf edge of :func:`scan_diagonal`, refined by
+    bisection; nothing when the scan finds no shelf."""
+    scan = scan_diagonal(spec, grid).metadata
+    if scan["shelf_edge"] is None:
         return []
-    return [CShelf(_bisect_diagonal(spec, grid.eq_tol, *shelf, grid.step_h))]
+    return [CShelf(_bisect_diagonal(spec, grid.eq_tol, scan["plateau_end"],
+                                    scan["shelf_edge"], grid.step_h))]
 
 
 def _exponent_fit(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:

@@ -62,3 +62,49 @@ def test_metric_missing_from_a_run_has_no_row():
     rows = ab_pairs.summarize(pairs, BETTER)
     assert [r["metric"] for r in rows] == ["verdict_ms.p90"]
     assert "verdict_ms.p90" in ab_pairs.format_rows(rows)
+
+
+BOUNDS = {"verdicts_per_s": 0.25, "verdict_ms.p90": 0.25}
+
+
+def test_worse_when_the_median_moves_beyond_the_bound():
+    parent = [40.0, 40.5, 39.5, 40.2, 39.8]
+    # p90 median 40.0 -> 49.9 is within 25%, 50.1 beyond it
+    for shift, worse in ((9.9, False), (10.1, True)):
+        rows = ab_pairs.summarize(pairs_of(parent, [p + shift for p in parent]),
+                                  BETTER, BOUNDS)
+        p90 = {r["metric"]: r for r in rows}["verdict_ms.p90"]
+        assert (p90["worse"], p90["gain"]) == (worse, False)
+    # a better median is never worse, however far it moves
+    rows = ab_pairs.summarize(pairs_of(parent, [p / 2 for p in parent]),
+                              BETTER, BOUNDS)
+    assert not any(r["worse"] for r in rows)
+
+
+def test_unresolved_when_the_parent_spreads_beyond_the_bound():
+    bounds = {"verdict_ms.p90": 0.05}
+    parent = [36.0, 44.0, 38.0, 42.0, 40.0]  # IQR 4 = 10% of the median 40
+    rows = ab_pairs.summarize(pairs_of(parent, parent[::-1]), BETTER, bounds)
+    p90 = {r["metric"]: r for r in rows}["verdict_ms.p90"]
+    assert (p90["unresolved"], p90["worse"]) == (True, False)
+    # a metric without a bound is neither worse nor unresolved
+    per_s = {r["metric"]: r for r in rows}["verdicts_per_s"]
+    assert (per_s["unresolved"], per_s["worse"]) == (False, False)
+    # every change run below every parent run resolves it
+    rows = ab_pairs.summarize(pairs_of(parent, [30.0 + p / 100 for p in parent]),
+                              BETTER, bounds)
+    assert not {r["metric"]: r for r in rows}["verdict_ms.p90"]["unresolved"]
+    # a spread within the bound is resolved
+    rows = ab_pairs.summarize(pairs_of(parent, parent), BETTER,
+                              {"verdict_ms.p90": 0.25})
+    assert not {r["metric"]: r for r in rows}["verdict_ms.p90"]["unresolved"]
+
+
+def test_format_rows_prints_both_marks():
+    parent = [36.0, 44.0, 38.0, 42.0, 40.0]
+    rows = ab_pairs.summarize(pairs_of(parent, [p + 20.0 for p in parent]),
+                              BETTER, {"verdict_ms.p90": 0.05})
+    header, per_s, p90 = ab_pairs.format_rows(rows).splitlines()
+    assert header.split()[-3:] == ["gain", "worse", "unresolved"]
+    assert p90.split()[-3:] == ["no", "yes", "yes"]
+    assert per_s.split()[-3:] == ["no", "no", "no"]

@@ -828,6 +828,42 @@ def test_scan_ordinal_sum_is_not_a_shelf(grid):
     assert report.metadata["shelf_edge"] is None
 
 
+def reference_diagonal_shelf(g, d, tol):
+    """(zero_on_interior, (plateau_end, shelf_edge) or None) of the
+    diagonal d on the grid g: the shelf rule as a function of its own,
+    kept here as the reference for the one in scan_diagonal."""
+    interior = (g > 0.0) & (g < 1.0)
+    gi = g[interior]
+    di = d[interior]
+    is_zero = di <= tol
+    if bool(np.all(is_zero)):
+        return True, None
+    if not is_zero[0]:
+        return False, None
+    k = int(np.argmin(is_zero))  # first non-plateau index; >=1 here
+    if not np.all(di[k:] >= gi[k:] - tol):
+        return False, None
+    return False, (float(gi[k - 1]), float(gi[k]))
+
+
+SHELF_SPECS = ([spec for _, spec, _ in FAMILY_MATRIX] + [Lukasiewicz()]
+               + ORDINAL_SUMS + EXPR_TNORMS
+               + [CShelf(c) for c in (0.005, 0.01, 0.333, 0.995)])
+
+
+@pytest.mark.parametrize("points", [11, 51, 101])
+def test_scan_shelf_matches_the_reference_rule(points):
+    grid = GridSpec(points=points)
+    g = grid.axis()
+    for spec in SHELF_SPECS:
+        zero, shelf = reference_diagonal_shelf(g, tnorm_values(spec, g, g),
+                                               grid.eq_tol)
+        meta = scan_diagonal(spec, grid).metadata
+        got = (meta["zero_on_interior"], meta["plateau_end"], meta["shelf_edge"])
+        want = (zero, *(shelf or (None, None)))
+        assert repr(got) == repr(want), spec.label()
+
+
 # --------------------------------------------------------------------------
 # Minimum equivalences
 # --------------------------------------------------------------------------
@@ -991,21 +1027,31 @@ def test_residual_rows_header_and_arity():
     assert max(r[5] for r in rows) == 0.0
 
 
-@pytest.mark.parametrize("tnorm, f", [
-    ("ss:-1", None),
-    ("expr:x*y/(2-(x+y-x*y))", None),  # Einstein: the CSV is the full cube
-    ("osum:[0.2,0.6,luk;0.6,1,prod]", None),
-    ("prod", Expr("x*y")),
+@pytest.mark.parametrize("tnorm, f, neg_zero", [
+    ("ss:-1", None, False),
+    ("expr:x*y/(2-(x+y-x*y))", None, False),  # Einstein: the full cube
+    ("osum:[0.2,0.6,luk;0.6,1,prod]", None, False),
+    ("prod", Expr("x*y"), False),
     # rhs is -0.0 on every row and lhs is 0.0 at lambda = 0: the dedupe
     # must keep the two zeros apart by bit pattern
-    ("min", Expr("-(0*x)")),
-], ids=["ss:-1", "einstein", "osum", "prod-xy", "min-negzero"])
-def test_residual_csv_is_repr_of_residual_rows(tnorm, f):
+    ("min", Expr("-(0*x)"), True),
+    ("prod", Expr("-(x*0)"), True),
+], ids=["ss:-1", "einstein", "osum", "prod-xy", "min-negzero",
+        "prod-negzero"])
+def test_residual_csv_is_repr_of_residual_rows(tnorm, f, neg_zero):
     spec, grid = parse_spec(tnorm), GridSpec(points=21, samples=0)
+    rows = list(residual_rows(spec, f, grid))
     expected = an.RESIDUAL_CSV_HEADER + "\n" + "".join(
         f"{lam!r},{x!r},{y!r},{lhs!r},{rhs!r},{res!r}\n"
-        for lam, x, y, lhs, rhs, res in residual_rows(spec, f, grid))
-    assert "".join(residual_csv(spec, f, grid)) == expected
+        for lam, x, y, lhs, rhs, res in rows)
+    csv = "".join(residual_csv(spec, f, grid))
+    # the signed zeros first: they fail fast, where a diff of csv is slow
+    zeros = [(field, math.copysign(1.0, v) < 0.0)
+             for row, line in zip(rows, csv.splitlines()[1:])
+             for v, field in zip(row[3:], line.split(",")[3:]) if v == 0.0]
+    assert all(field == ("-0.0" if neg else "0.0") for field, neg in zeros)
+    assert any(neg for _, neg in zeros) == neg_zero
+    assert csv == expected
 
 
 # --------------------------------------------------------------------------

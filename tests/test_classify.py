@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tnormlab import analysis
-from tnormlab.analysis import GridSpec, find_gph_counterexample
+from tnormlab.analysis import GridSpec, find_gph_counterexample, scan_diagonal
 from tnormlab.classify import (
     FitError,
     PreconditionError,
@@ -25,6 +25,7 @@ from tnormlab.core import (
     spec_label,
     tnorm_values,
 )
+from tnormlab.dsl import EvalError
 from tnormlab.rng import SplitMix64
 
 from conftest import EXPR_TNORMS, FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
@@ -209,6 +210,31 @@ def test_classify_cshelf_offgrid_edge(grid):
     assert abs(result.parameter - 0.3) <= grid.step_h
 
 
+@pytest.mark.parametrize("c,edge", [(0.25, 0.24999969482421874),
+                                    (0.5, 0.49999969482421874),
+                                    (0.75, 0.7499996948242187)])
+def test_classify_cshelf_edge_bits(c, edge, grid):
+    """The bisection starts from scan_diagonal's shelf bracket; the edge
+    it returns is pinned bit for bit."""
+    assert classify(CShelf(c), grid).parameter == edge
+
+
+#: a product with a pole at z = 1 - step_h, off every grid point.
+POLE_AT_LIMIT_PROBE = "x*y+0*(1/(x-(1-0.000001)))"
+
+
+def test_classify_raises_the_diagonal_scan_error(grid):
+    """The shelf estimator runs scan_diagonal, limit probe at 1 - step_h
+    included, before Product is validated; so classify raises the error
+    scan_diagonal raises there, not a Product verdict."""
+    spec = Expr(POLE_AT_LIMIT_PROBE)
+    with pytest.raises(EvalError) as scanned:
+        scan_diagonal(spec, grid)
+    with pytest.raises(EvalError) as classified:
+        classify(spec, grid)
+    assert str(classified.value) == str(scanned.value)
+
+
 def test_classify_expression_negative_exponent(grid):
     # rational form of the beta = -1 member; the raw power formula is
     # undefined on the zero boundary, this algebraic rewrite is not
@@ -356,12 +382,7 @@ PARAM_TOL = 2e-6
 
 
 #: scan members the fit misses, with the cause.
-SCAN_MISSES = {
-    "ss:-0.001": "the root sits on the range end -1e-3, where rounding puts"
-                 " the sign of 19 of 64 rows past the end",
-    "ss:60": "the root sits on the range end 60, where rounding puts the"
-             " sign of 37 of 64 rows past the end",
-}
+SCAN_MISSES: dict[str, str] = {}
 #: 40 log-spaced exponents a side over the fitted range, and steep members
 #: whose diagonal leaves few points off min.
 SCAN_TOKENS = [f"ss:{sign * beta:.6g}" for sign in (1, -1)

@@ -434,6 +434,15 @@ def test_closed_stdout_keeps_verdict_exit_code(tnorm):
     assert "Traceback" not in err
 
 
+def test_classify_pole_at_the_limit_probe_exits_2(capsys):
+    # the diagonal scan's limit probe 1 - step_h meets the pole
+    code, out, err = run(capsys, "classify", "--tnorm",
+                         "expr:x*y+0*(1/(x-(1-0.000001)))")
+    assert code == 2
+    assert out == ""
+    assert "division by zero" in err
+
+
 def test_classify_precondition_exits_2(capsys):
     code, _, err = run(capsys, "classify", "--tnorm", "expr:x*y/2",
                        "--points", "21", "--samples", "100")
