@@ -10,10 +10,11 @@ byte for byte.
 Witness slots are named after the scaling equation T(l*x, l*y) =
 F(l, T(x, y)); checks that probe pairs rather than triples set ``lam`` to
 1 and document the slot meaning in the report metadata.  Every witness
-has gap = |lhs - rhs|.  Staged checks (the axioms, the diagonal's
-monotonicity) report the first violation in scan order; sweeps (the
-scaling equation and its l = 1 line, grid jumps, the minimum equivalences,
-the targeted counterexample probes) report the first maximal one.
+has gap = |lhs - rhs|.  A staged check's verdict is ``_first_failing``'s:
+the first failing subtest's witness, its gap as the residual.  The axioms
+and the diagonal's monotonicity report the first violation in scan order;
+sweeps (the scaling equation and its l = 1 line, grid jumps, the minimum
+equivalences, the targeted counterexample probes) the first maximal one.
 
 Continuity cannot be decided from finitely many samples.  The two checks
 that talk about it use a grid-jump surrogate (adjacent values differing by
@@ -175,6 +176,15 @@ def _first_over(res: np.ndarray, tol: float, *slots) -> Optional[Witness]:
     over = res > tol
     i = int(np.argmax(over))
     return _witness_at(i, *slots) if over.flat[i] else None
+
+
+def _first_failing(subtests) -> tuple[bool, float, Optional[Witness]]:
+    """(passed, max_residual, witness) of ordered (ok, witness) subtests:
+    the first failing one's witness and gap, else a pass at residual 0."""
+    for ok, witness in subtests:
+        if not ok:
+            return False, witness.gap, witness
+    return True, 0.0, None
 
 
 def _first_max(pieces) -> tuple[float, Witness]:
@@ -450,15 +460,9 @@ def check_pseudo_homogeneous(f: CompanionF, grid: GridSpec = GridSpec()) -> Repo
     jumps, cont_witness = _max_adjacent_jump(F, g)
     cont_ok = jumps <= threshold
 
-    passed = inc_ok and boundary_ok and cont_ok
-    witness = None
-    if not inc_ok:
-        witness = inc_witness
-    elif not boundary_ok:
-        witness = boundary_witness
-    elif not cont_ok:
-        witness = cont_witness
-    max_residual = 0.0 if passed else float(witness.gap)
+    passed, max_residual, witness = _first_failing(
+        [(inc_ok, inc_witness), (boundary_ok, boundary_witness),
+         (cont_ok, cont_witness)])
     metadata = {
         "companion": f.label(),
         "points": grid.points,
@@ -622,14 +626,10 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     if not zero_on_interior and k > 0 and np.all(di[k:] >= gi[k:] - tol):
         plateau_end, shelf_edge = float(gi[k - 1]), float(gi[k])
 
-    passed = mono_ok and limit is not None
-    witness = None
-    if not mono_ok:
-        witness = mono_witness
-    elif limit is None:
-        witness = _witness_from(1.0, probe, probe, limit_estimate,
-                                round(limit_estimate))
-    max_residual = 0.0 if passed else float(witness.gap)
+    passed, max_residual, witness = _first_failing(
+        [(mono_ok, mono_witness),
+         (limit is not None, _witness_from(1.0, probe, probe, limit_estimate,
+                                           round(limit_estimate)))])
     metadata = {
         "tnorm": spec_label(spec),
         "points": grid.points,
@@ -724,12 +724,8 @@ def check_continuity_equivalence(spec: TNormSpec,
     f_jump, f_witness = _max_adjacent_jump(F, g)
     t_cont = t_jump <= threshold
     f_cont = f_jump <= threshold
-    passed = t_cont == f_cont
-
-    witness = None
-    if not passed:
-        witness = t_witness if t_jump >= f_jump else f_witness
-
+    passed, max_residual, witness = _first_failing(
+        [(t_cont == f_cont, t_witness if t_jump >= f_jump else f_witness)])
     metadata = {
         "tnorm": spec_label(spec),
         "points": grid.points,
@@ -740,8 +736,8 @@ def check_continuity_equivalence(spec: TNormSpec,
         "f_continuous_at_grid_scale": f_cont,
         "continuity_heuristic": True,
     }
-    return Report("continuity_equivalence", passed,
-                  0.0 if passed else float(witness.gap), witness, metadata)
+    return Report("continuity_equivalence", passed, max_residual, witness,
+                  metadata)
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Subcommands: ``eval`` (evaluate a t-norm or companion at a point),
 identification), ``catalog`` (print the six-family table), and
 ``counterexample`` (hunt a violating triple).
 
-Exit status: 0 when every check passed or the evaluation succeeded, 1 when
-a check failed and a witness was emitted, 2 on usage or evaluation errors.
+Exit status: 0 on a pass or a successful evaluation, 1 on a failed check with
+a witness, 2 on a usage or evaluation error or a grid too large to allocate.
 
 T-norm mini-syntax (one token)::
 
@@ -298,7 +298,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"tnormlab: expression error {err}", file=sys.stderr)
         return 2
     except (dsl.EvalError, DomainError, PreconditionError, ValueError,
-            OSError) as err:
+            OSError, MemoryError) as err:
         print(f"tnormlab: {err}", file=sys.stderr)
         return 2
 

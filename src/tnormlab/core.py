@@ -193,8 +193,9 @@ class SchweizerSklar(_Kind):
     def power(self, u):
         return np.power(u, self.beta)
 
+    @np.errstate(divide="ignore", over="ignore")
     def values(self, x, y):
-        return self.join(x, y, self.power(x), self.power(y))
+        return self.join(x, y, np.power(x, self.beta), np.power(y, self.beta))
 
     @np.errstate(over="ignore")
     def join(self, x, y, px, py):

@@ -13,6 +13,9 @@ from tnormlab.core import (
     SchweizerSklar,
 )
 
+#: absolute tolerance on a recovered parameter, as in bench/oracle.py.
+PARAM_TOL = 2e-6
+
 # The family matrix every end-to-end check runs over, with the residual
 # tier each instance must meet in catalog sweeps: 1e-12 where no
 # fractional power occurs, 1e-9 otherwise.

@@ -28,7 +28,13 @@ from tnormlab.core import (
 from tnormlab.dsl import EvalError
 from tnormlab.rng import SplitMix64
 
-from conftest import EXPR_TNORMS, FAMILY_MATRIX, MATRIX_IDS, ORDINAL_SUMS
+from conftest import (
+    EXPR_TNORMS,
+    FAMILY_MATRIX,
+    MATRIX_IDS,
+    ORDINAL_SUMS,
+    PARAM_TOL,
+)
 
 # the package re-exports the function under the module's name
 classify_module = importlib.import_module("tnormlab.classify")
@@ -375,10 +381,6 @@ def test_classify_fits_only_after_cheaper_candidates_fail(token, fits, grid,
     monkeypatch.setattr(classify_module, "_diagonal_rows", recording)
     classify(parse_spec(token), grid)
     assert len(calls) == fits
-
-
-#: absolute tolerance on a recovered parameter, as in bench/oracle.py.
-PARAM_TOL = 2e-6
 
 
 #: scan members the fit misses, with the cause.

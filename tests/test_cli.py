@@ -239,6 +239,20 @@ def test_mid_sweep_error_keeps_earlier_slices(tmp_path, capsys, to_file):
     assert len(err.splitlines()) == 1
     assert "(0.6000000000000001, 0.9)" in err
 
+
+@pytest.mark.parametrize("argv", [["verify"], ["classify"], ["counterexample"],
+                                  ["verify", "--csv"]],
+                         ids=["verify", "classify", "counterexample", "csv"])
+def test_grid_too_large_to_allocate_exits_2(capsys, argv):
+    """10**7 points ask numpy for a 728 TiB table, which it refuses at once;
+    only arrays of the axis's length (80 MB each) are built before that."""
+    code, out, err = run(capsys, argv[0], "--tnorm", "prod", "--points",
+                         "10000000", "--samples", "0", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("tnormlab: Unable to allocate")
+    assert len(err.splitlines()) == 1
+
+
 def test_unknown_spec_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--tnorm", "nope", "--x", "0", "--y", "0")
     assert code == 2
