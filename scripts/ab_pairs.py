@@ -20,6 +20,10 @@ A metric is worse when the change's median is worse than the parent's by
 more than the bound.  It is unresolved when the parent's interquartile
 range is wider than the bound, so the runs cannot tell a move of that
 size, unless every change run beats every parent run.
+
+The two checkouts must sit at resolved paths of equal length: path length
+alone moves the benchmark (the process's memory layout changes with it),
+so the script exits 2 with one line on stderr when they differ.
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
     args = parser.parse_args(argv)
+    parent, change = (str(p.resolve()) for p in (args.parent, args.change))
+    if len(parent) != len(change):
+        print(f"ab_pairs: checkout paths differ in length ({len(parent)}:"
+              f" {parent}, {len(change)}: {change})", file=sys.stderr)
+        return 2
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}

@@ -14,7 +14,10 @@ has gap = |lhs - rhs|.  A staged check's verdict is ``_first_failing``'s:
 the first failing subtest's witness, its gap as the residual.  The axioms
 and the diagonal's monotonicity report the first violation in scan order;
 sweeps (the scaling equation and its l = 1 line, grid jumps, the minimum
-equivalences, the targeted counterexample probes) the first maximal one.
+equivalences) the first maximal one.  :func:`check_gph` is the scaling
+equation's one witness pipeline: grid sweep, seeded samples, then an
+ordinal sum's targeted probes.  :func:`find_gph_counterexample` and
+``classify`` let the first maximal probe win whenever it exceeds eq_tol.
 
 Continuity cannot be decided from finitely many samples.  The two checks
 that talk about it use a grid-jump surrogate (adjacent values differing by
@@ -361,24 +364,58 @@ def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
         yield _scaling_piece(spec, comp, lam, x, y, t, at, lhs)
 
 
+def _targeted_probes(spec: TNormSpec, f: Optional[CompanionF]):
+    """(cases, pieces): each targeted probe's case, and [] or the one piece
+    evaluating them all with companion ``f`` (canonical when None).  Every
+    non-trivial ordinal sum fails; two probes per summand [a, e]:
+
+      case 1 (a > 0): scale so l*y pins the idempotent endpoint a exactly
+        while the unscaled pair multiplies strictly inside the summand;
+      case 2 (e < 1): scale the top corner (e, e) so the scaled pair lands
+        strictly inside the summand.
+
+    A probe's gap is 0.12 to 0.2 times its summand's width, so at eq_tol
+    1e-9 the probes miss summands narrower than about 8e-9."""
+    probes = []
+    if isinstance(spec, OrdinalSum):
+        for s in spec.summands:
+            a, e = s.lower, s.upper
+            if a > 0.0:
+                y = a + 0.6 * (e - a)
+                probes.append(("case1", a / y, a + 0.8 * (e - a), y))
+            if e < 1.0:
+                x = 0.8 * e if 0.8 * e > e * e else 0.5 * (e * e + e)
+                probes.append(("case2", x / e, e, e))
+    if not probes:
+        return [], []
+    lam, x, y = np.asarray([p[1:] for p in probes]).T
+    comp = Canonical(spec) if f is None else f
+    return [p[0] for p in probes], [
+        _scaling_piece(spec, comp, lam, x, y, tnorm_values(spec, x, y))]
+
+
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
               grid: GridSpec = GridSpec()) -> Report:
     """Residual sweep of T(l*x, l*y) = F(l, T(x, y)).
 
     With ``f`` omitted the check is intrinsic: it uses the canonical
     companion F(l, t) = T(l, l*t), the only candidate any t-norm admits.
-    Sweeps all grid triples in (l, x, y) scan order plus ``samples`` seeded
-    random triples; the witness is the first maximal-gap triple.  For a
-    ``symmetric`` spec both sides are unchanged by swapping x and y, bit
-    for bit, so each l slice sweeps only x <= y: the first maximal entry
-    of a slice always lies there, and the witness is the full sweep's.
-    The grid sweep runs l slices in blocks of at most 2**14 triples (one
-    slice when it holds more), the companion once per distinct T(x, y)
-    per l and an ``argument_power`` once per (l, axis point), gathered,
-    so each side is the direct evaluation's float.  When it raises, the
-    reference sweep runs instead, one full l slice at a time evaluated
-    entrywise, so an error names the node and point it meets first.
+    The pieces run in order: every grid triple in (l, x, y) scan order,
+    ``samples`` seeded random triples, then an ordinal sum's targeted
+    probes (:func:`_targeted_probes`), all with this companion.  The
+    witness is the first maximal-gap triple (:func:`_first_max`).  A
+    ``symmetric`` spec's sides are unchanged by swapping x and y, bit for
+    bit, so each l slice sweeps only x <= y, where its first maximal entry
+    lies.  The grid sweep evaluates blocks of l slices (:func:`_gph_slices`);
+    when it raises, the reference sweep runs instead, one full l slice at a
+    time evaluated entrywise, so an error names the node and point it meets
+    first.
     """
+    return _gph_report(spec, f, grid, lambda: _targeted_probes(spec, f)[1])
+
+
+def _gph_report(spec: TNormSpec, f, grid: GridSpec, probes) -> Report:
+    """:func:`check_gph` with the pieces ``probes()`` returns last."""
     comp = Canonical(spec) if f is None else f
 
     def pieces(sweep):
@@ -387,6 +424,7 @@ def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
             lam, x, y = SplitMix64(grid.seed).unit_tuples(grid.samples, 3).T
             yield _scaling_piece(spec, comp, lam, x, y,
                                  tnorm_values(spec, x, y))
+        yield from probes()
 
     try:
         best_gap, best = _first_max(pieces(_gph_slices))
@@ -744,71 +782,32 @@ def check_continuity_equivalence(spec: TNormSpec,
 # Counterexample search
 # --------------------------------------------------------------------------
 
-def _targeted_probes(spec: TNormSpec, grid: GridSpec):
-    """(rows, witness, case) of the targeted probes of an ordinal sum: the
-    probes as metadata rows, and the witness and case of the first maximal
-    gap when it exceeds ``eq_tol``, else None.  Every non-trivial sum fails,
-    and two constructions are probed per summand [a, e]:
-
-      case 1 (a > 0): scale so l*y pins the idempotent endpoint a exactly
-        while the unscaled pair multiplies strictly inside the summand;
-      case 2 (e < 1): scale the top corner (e, e) so the scaled pair lands
-        strictly inside the summand."""
-    probes = []
-    if isinstance(spec, OrdinalSum):
-        for s in spec.summands:
-            a, e = s.lower, s.upper
-            if a > 0.0:
-                x = a + 0.8 * (e - a)
-                y = a + 0.6 * (e - a)
-                probes.append(("case1", a / y, x, y))
-            if e < 1.0:
-                x = 0.8 * e
-                if x <= e * e:
-                    x = 0.5 * (e * e + e)
-                probes.append(("case2", x / e, e, e))
-    if not probes:
-        return [], None, None
-    cases = [case for case, *_ in probes]
-    lam, x, y = np.asarray([p[1:] for p in probes]).T
-    gap, *slots = _scaling_piece(spec, Canonical(spec), lam, x, y,
-                                 tnorm_values(spec, x, y))
-    rows = zip(cases, lam.tolist(), x.tolist(), y.tolist(), gap.tolist())
-    targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
-                for row in rows]
-    i = int(np.argmax(gap))  # the first maximal gap
-    if gap[i] <= grid.eq_tol:
-        return targeted, None, None
-    return targeted, _witness_at(i, *slots), cases[i]
-
-
 def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     """Hunt for a triple violating the intrinsic scaling equation.
 
-    The sweep runs, then the targeted probes of an ordinal sum
-    (:func:`_targeted_probes`).  The witness is the first maximal probe when
-    it exceeds ``eq_tol`` (so probing first decides it without the sweep),
-    else the sweep's; metadata keeps the sweep maximum either way.
+    Evaluates an ordinal sum's targeted probes once and runs
+    :func:`check_gph` with them as its last piece.  The witness is the
+    first maximal probe when its gap exceeds ``eq_tol``, even below the
+    sweep's maximum, else check_gph's; ``sweep_max_residual`` is
+    check_gph's maximum, probes included.
     """
-    sweep = check_gph(spec, None, grid)
-    targeted, probed, case = _targeted_probes(spec, grid)
+    cases, probes = _targeted_probes(spec, None)
+    sweep = _gph_report(spec, None, grid, lambda: probes)
+    targeted = [dict(zip(("case", "lambda", "x", "y", "gap"), row))
+                for gap, lam, x, y, *_ in probes
+                for row in zip(cases, lam.tolist(), x.tolist(), y.tolist(),
+                               gap.tolist())]
     witness, max_residual = sweep.witness, sweep.max_residual
     source = "sweep" if witness is not None else None
-    if probed is not None:
-        witness, max_residual, source = probed, probed.gap, case
+    if probes and (probed := _first_max(probes))[0] > grid.eq_tol:
+        max_residual, witness = probed
+        source = max(targeted, key=lambda row: row["gap"])["case"]
 
-    passed = witness is None
-    metadata = {
-        "tnorm": spec_label(spec),
-        "points": grid.points,
-        "samples": grid.samples,
-        "seed": grid.seed,
-        "eq_tol": grid.eq_tol,
-        "sweep_max_residual": sweep.max_residual,
-        "targeted_probes": targeted,
-        "witness_source": source,
-    }
-    return Report("gph_counterexample", passed, max_residual, witness, metadata)
+    metadata = {**sweep.metadata, "sweep_max_residual": sweep.max_residual,
+                "targeted_probes": targeted, "witness_source": source}
+    del metadata["companion"]
+    return Report("gph_counterexample", witness is None, max_residual,
+                  witness, metadata)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,10 @@ residual is within eq_tol is the verdict, so a parametric family is never
 returned with validation residual above eq_tol.  An estimator runs only
 when every earlier candidate has failed, so the fit costs nothing for the
 closed kinds.  When none passes, the verdict is NotGPH with the smallest
-validation residual and a scaling-equation witness, from an ordinal sum's
-targeted probes first and the full sweep only when no probe exceeds eq_tol.
+validation residual and a scaling-equation witness: an ordinal sum's first
+maximal probe when it exceeds eq_tol, else that of check_gph, given the
+probes as its last piece.  A probe-decided sum skips the sweep, so unlike
+check_gph classify does not raise an error that only the sweep would.
 
 The exponent fit reads the diagonal, where the family gives
 T(z, z) = (2z^b - 1)^(1/b): it evaluates T(z, z) once on a fixed axis of
@@ -43,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GridSpec, _targeted_probes, check_axioms,
-                       find_gph_counterexample, scan_diagonal)
+from .analysis import (GridSpec, _first_max, _gph_report, _targeted_probes,
+                       check_axioms, scan_diagonal)
 from .core import (
     CShelf,
     Drastic,
@@ -280,16 +282,13 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                 return ClassificationResult(family, parameter, residual,
                                             tuple(evidence))
 
-    _, witness, _ = _targeted_probes(spec, grid)
-    max_residual = witness.gap if witness else None
-    if witness is None:
-        counterexample = find_gph_counterexample(spec, grid)
-        witness, max_residual = counterexample.witness, counterexample.max_residual
-    evidence.append({
-        "test": "gph_counterexample",
-        "passed": witness is None,
-        "detail": {"witness": witness.to_dict() if witness else None,
-                   "max_residual": max_residual},
-    })
+    _, probes = _targeted_probes(spec, None)
+    max_residual, witness = _first_max(probes) if probes else (0.0, None)
+    if max_residual <= grid.eq_tol:
+        sweep = _gph_report(spec, None, grid, lambda: probes)
+        max_residual, witness = sweep.max_residual, sweep.witness
+    evidence.append({"test": "gph_counterexample", "passed": witness is None,
+                     "detail": {"witness": witness and witness.to_dict(),
+                                "max_residual": max_residual}})
 
     return ClassificationResult("NotGPH", None, min(residuals), tuple(evidence))

@@ -108,3 +108,17 @@ def test_format_rows_prints_both_marks():
     assert header.split()[-3:] == ["gain", "worse", "unresolved"]
     assert p90.split()[-3:] == ["no", "yes", "yes"]
     assert per_s.split()[-3:] == ["no", "no", "no"]
+
+
+def test_checkouts_at_paths_of_different_lengths_exit_2(tmp_path, capsys):
+    for name in ("parent", "change", "changed"):
+        (tmp_path / name).mkdir()
+    code = ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "changed"),
+                          "--workload", "sweep"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "differ in length" in err
+    # equal lengths get past the check to the parent's BENCHMARK.json
+    with pytest.raises(FileNotFoundError, match="BENCHMARK.json"):
+        ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "sweep"])

@@ -559,6 +559,34 @@ def test_gph_error_only_in_the_seeded_samples():
         check_gph(Product(), f, GridSpec(points=11, samples=20))
 
 
+def test_gph_probes_use_the_given_companion():
+    """The companion is NaN only for lambda in (0.79, 0.81), which no grid
+    lambda at 5 points reaches, but the case-2 probe of osum:[0,0.5,luk]
+    evaluates it at lambda 0.8: check_gph evaluates the probes with the
+    given companion, after the grid."""
+    spec, f = ORDINAL_SUMS[0], Expr("x*y + 0*((x-0.79)*(x-0.81))^0.5")
+    grid = GridSpec(points=5, samples=0)
+    assert not check_gph(spec, None, grid).passed
+    with pytest.raises(EvalError, match=re.escape(
+            "NaN produced in (((x - 0.79) * (x - 0.81)) ^ 0.5) at (x, y) ="
+            " (0.8, 0.5)")):
+        check_gph(spec, f, grid)
+
+
+@pytest.mark.parametrize("points", [51, 101, 151])
+def test_gph_fails_a_sum_only_its_probes_see(points):
+    """The grid and the seeded samples pass the narrow summand
+    [0.9, 0.9005] at every size; its case-1 probe fails by a fifth of the
+    summand's width, and check_gph takes it as the witness."""
+    spec = parse_spec("osum:[0.9,0.9005,luk]")
+    report = check_gph(spec, None, GridSpec(points=points))
+    search = find_gph_counterexample(spec, GridSpec(points=points))
+    assert not report.passed
+    assert report.max_residual == pytest.approx(9.997e-5, rel=1e-4)
+    assert report.witness == search.witness
+    assert search.metadata["witness_source"] == "case1"
+
+
 def test_gph_expr_companion_domain_error_text():
     """The first out-of-range companion value names the same point on the
     half sweep as on the full cube."""

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tnormlab import analysis
-from tnormlab.analysis import GridSpec, find_gph_counterexample, scan_diagonal
+from tnormlab.analysis import (GridSpec, check_gph, find_gph_counterexample,
+                               scan_diagonal)
 from tnormlab.classify import (
     FitError,
     PreconditionError,
@@ -308,10 +309,31 @@ def test_classify_takes_a_probe_witness_without_the_sweep(spec, monkeypatch):
     def no_sweep(*args):
         raise RuntimeError("classify swept a probe-decided sum")
 
-    monkeypatch.setattr(analysis, "check_gph", no_sweep)
+    monkeypatch.setattr(classify_module, "_gph_report", no_sweep)
     result = classify(spec, grid)
     assert result.family == "NotGPH"
     assert_cites_the_search(result, search)
+
+
+@pytest.mark.parametrize("spec", PROBED_SUMS, ids=map(spec_label, PROBED_SUMS))
+def test_verify_and_counterexample_agree(spec):
+    grid = GridSpec(points=51)
+    assert check_gph(spec, None, grid).passed == \
+        find_gph_counterexample(spec, grid).passed
+
+
+@pytest.mark.parametrize("entry", [
+    lambda spec, grid: check_gph(spec, None, grid), find_gph_counterexample,
+    classify], ids=["verify", "counterexample", "classify"])
+def test_each_entry_point_evaluates_the_probes_once(entry, monkeypatch):
+    spec = parse_spec("osum:[0.2,0.6,cshelf:0.5]")  # its probe gaps are 0
+    calls = []
+    probes = analysis._targeted_probes
+    for module in (analysis, classify_module):
+        monkeypatch.setattr(module, "_targeted_probes",
+                            lambda *args: calls.append(args) or probes(*args))
+    entry(spec, GridSpec(points=51))
+    assert len(calls) == 1
 
 
 def test_classify_sweeps_a_spec_without_probes(monkeypatch):
@@ -320,8 +342,8 @@ def test_classify_sweeps_a_spec_without_probes(monkeypatch):
     search = find_gph_counterexample(spec, grid)
     assert search.metadata["witness_source"] == "sweep"
     sweeps = []
-    sweep = analysis.check_gph
-    monkeypatch.setattr(analysis, "check_gph",
+    sweep = classify_module._gph_report
+    monkeypatch.setattr(classify_module, "_gph_report",
                         lambda *args: sweeps.append(args) or sweep(*args))
     result = classify(spec, grid)
     assert result.family == "NotGPH"

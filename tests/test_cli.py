@@ -433,6 +433,13 @@ def test_option_only_on_subcommands_that_read_it(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_fails_a_sum_only_its_probes_see(capsys):
+    code, out, _ = run(capsys, "verify", "--tnorm", "osum:[0.9,0.9005,luk]",
+                       "--points", "51")
+    assert code == 1
+    assert "FAIL" in out
+
+
 @pytest.mark.parametrize("tnorm", ["ss:2", "osum:[0,0.5,luk]"])
 def test_closed_stdout_keeps_verdict_exit_code(tnorm):
     points = 41
