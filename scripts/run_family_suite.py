@@ -6,8 +6,9 @@ suite, scaling sweep against the catalog companion (which is the intrinsic
 one, so there is one residual), strict-regularity predicate, diagonal scan,
 minimum-equivalences, continuity equivalence, and the classifier; then
 prints one row per member and a summary.  Each fixed ordinal sum gets the
-counterexample search and the classifier; the script exits 1 when one is
-not NotGPH with a witness.
+counterexample search and the classifier.  The script exits 1 when a
+member is classified as another family, or a sum is not NotGPH with a
+witness.
 
     python scripts/run_family_suite.py --points 101 --seed 0xC0FFEE
     python scripts/run_family_suite.py --json out/suite.json
@@ -37,6 +38,7 @@ from tnormlab import (
     find_gph_counterexample,
     scan_diagonal,
 )
+from tnormlab.classify import _verdict
 from tnormlab.core import spec_label
 
 MATRIX = [
@@ -53,6 +55,8 @@ MATRIX = [
     CShelf(0.25),
     CShelf(0.5),
     CShelf(0.75),
+    CShelf(0.005),
+    CShelf(0.995),
 ]
 
 ORDINAL_SUMS = [
@@ -132,14 +136,19 @@ def main(argv=None):
                                 "samples": grid.samples},
                        "members": rows, "ordinal_sums": sums}, fh, indent=2)
         print(f"\nwrote {args.json}")
-    # every non-trivial ordinal sum fails the scaling equation
+    # every member is its own family; every non-trivial ordinal sum fails
+    # the scaling equation
+    wrong = [r["tnorm"] for spec, r in zip(MATRIX, rows)
+             if r["classified_as"] != _verdict(spec)[0]]
     misses = [s["tnorm"] for s in sums
               if s["classified_as"] != "NotGPH" or s["witness"] is None]
+    if wrong:
+        print(f"{len(wrong)} members classified as another family:", *wrong,
+              sep="\n  ")
     if misses:
         print(f"{len(misses)} ordinal sums not NotGPH with a witness:",
               *misses, sep="\n  ")
-        return 1
-    return 0
+    return int(bool(wrong or misses))
 
 
 if __name__ == "__main__":

@@ -619,6 +619,23 @@ def check_archimedean(spec: TNormSpec,
 # Scan of the diagonal
 # --------------------------------------------------------------------------
 
+def _diagonal_shape(z: np.ndarray, d: np.ndarray,
+                    tol: float) -> tuple[str, Optional[tuple[float, float]]]:
+    """Shape of the diagonal d = T(z, z) on the interior of the increasing
+    axis z, zero meaning at most tol and identity at least z - tol: "zero",
+    "identity", "shelf" (a zero run, then the identity: cshelf's shape)
+    with the bracket of the run's last point and the next, or "other"."""
+    interior = (z > 0.0) & (z < 1.0)
+    zi, di = z[interior], d[interior]
+    is_zero = di <= tol
+    k = int(np.argmin(is_zero))  # the first interior point off the zero run
+    if is_zero.all():
+        return "zero", None
+    if not np.all(di[k:] >= zi[k:] - tol):
+        return "other", None
+    return ("shelf", (float(zi[k - 1]), float(zi[k]))) if k else ("identity", None)
+
+
 def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     """Monotonicity of the diagonal x -> T(x, x), its limit at 1, and the
     shelf edge.
@@ -629,11 +646,10 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
 
     The limit estimate is the diagonal at 1 - step_h and must land within
     ``max(eq_tol, 10 * step_h)`` of 0 or of 1 (the only limits a t-norm
-    compatible with the scaling equation can have).  The shelf rule, on
-    the interior grid with zero meaning at most ``eq_tol``: the diagonal is
-    ``zero_on_interior``, or a zero plateau then within ``eq_tol`` of the
-    identity (the shape of ``cshelf:c``), whose last plateau point and next
-    point are ``plateau_end`` and ``shelf_edge``; else both are None.
+    compatible with the scaling equation can have).  The grid diagonal's
+    shape, by :func:`_diagonal_shape` with tolerance ``eq_tol``, gives
+    ``zero_on_interior``, and for a shelf its bracket as ``plateau_end``
+    and ``shelf_edge``; else both are None.
     """
     g = grid.axis()
     d = tnorm_values(spec, g, g)
@@ -655,14 +671,8 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
     else:
         limit = None
 
-    interior = (g > 0.0) & (g < 1.0)
-    gi, di = g[interior], d[interior]
-    is_zero = di <= tol
-    zero_on_interior = bool(is_zero.all())
-    k = int(np.argmin(is_zero))  # the first interior point off the plateau
-    plateau_end = shelf_edge = None
-    if not zero_on_interior and k > 0 and np.all(di[k:] >= gi[k:] - tol):
-        plateau_end, shelf_edge = float(gi[k - 1]), float(gi[k])
+    shape, bracket = _diagonal_shape(g, d, tol)
+    plateau_end, shelf_edge = bracket or (None, None)
 
     passed, max_residual, witness = _first_failing(
         [(mono_ok, mono_witness),
@@ -678,7 +688,7 @@ def scan_diagonal(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Report:
         "limit_estimate": float(limit_estimate),
         "limit_tol": limit_tol,
         "limit": limit,
-        "zero_on_interior": zero_on_interior,
+        "zero_on_interior": shape == "zero",
         "plateau_end": plateau_end,
         "shelf_edge": shelf_edge,
     }

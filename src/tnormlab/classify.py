@@ -4,34 +4,35 @@ Given any t-norm description that passes the axiom suite, decide which
 catalog family it is (estimating the exponent or the shelf edge where the
 family is parametric) or certify NotGPH with a scaling-equation witness.
 
-Decision procedure: a fixed table of estimators nominates candidates in
-order -- Minimum; Drastic; CShelf in the shelf bracket that scan_diagonal
-reports (plateau_end, shelf_edge), its edge refined by bisection; Product;
-Schweizer-Sklar at the fitted exponent (its sign picks the branch).
-Validation decides: each candidate is compared with the spec on a
-validation lattice offset from the decision grid, and the first whose
-residual is within eq_tol is the verdict, so a parametric family is never
-returned with validation residual above eq_tol.  An estimator runs only
-when every earlier candidate has failed, so the fit costs nothing for the
-closed kinds.  When none passes, the verdict is NotGPH with the smallest
-validation residual and a scaling-equation witness: an ordinal sum's first
-maximal probe when it exceeds eq_tol, else that of check_gph, given the
-probes as its last piece.  A probe-decided sum skips the sweep, so unlike
-check_gph classify does not raise an error that only the sweep would.
+Decision procedure: classify evaluates T(z, z) once, on a fixed axis of
+2^13 + 1 points.  Its shape on the interior (zero meaning at most eq_tol,
+identity at least z - eq_tol) nominates the candidates: the identity
+Minimum; zero Drastic; a zero run then the identity CShelf, at the low end
+of the run's bracket narrowed by bisection; any other shape Product, then
+Schweizer-Sklar at the exponent fitted from the same vector (its sign
+picks the branch).  A shelf or summand narrower than the axis spacing is
+invisible to the shape.  Validation decides: each candidate is compared
+with the spec on a validation lattice offset from the decision grid, and
+the first whose residual is within eq_tol is the verdict, so a parametric
+family is never returned with validation residual above eq_tol.  When
+none passes, the verdict is NotGPH with the smallest validation residual
+and a scaling-equation witness: an ordinal sum's first maximal probe when
+it exceeds eq_tol, else that of check_gph, given the probes as its last
+piece.  A probe-decided sum skips the sweep, so unlike check_gph classify
+does not raise an error that only the sweep would.
 
 The exponent fit reads the diagonal, where the family gives
-T(z, z) = (2z^b - 1)^(1/b): it evaluates T(z, z) once on a fixed axis of
-2^13 + 1 points, keeps those with z and T(z, z) interior and T(z, z) off
-z^2, and thins them evenly to at most 64.  It does not depend on the grid
-or its seed.  It solves, per sample (x, y, t = T(x, y)), T_b(x, y) = t
-over [-60, -1e-3] u [1e-3, 60] (b = 0 always solves the power-sum form and
-is excluded; beyond |b| = 60 the family is numerically indistinguishable
-from min on binary64 grids).  The family decreases pointwise in b
-(Klement, Mesiar & Pap, Triangular Norms, ch. 4), so the sign of
-T_b(x, y) - t goes from + to - once: its sign near b = 1e-3 picks the side,
-a row whose sign does not change over its side has no root, and one
-bisection runs over all other rows together.  The estimate is the median
-of per-sample roots, which ignores the few samples that land near the
+T(z, z) = (2z^b - 1)^(1/b): it keeps the axis points with z and T(z, z)
+interior and T(z, z) off z^2, thinned evenly to at most 64, so it does not
+depend on the grid or its seed.  It solves, per sample (x, y, t = T(x, y)),
+T_b(x, y) = t over [-60, -1e-3] u [1e-3, 60] (b = 0 always solves the
+power-sum form and is excluded; beyond |b| = 60 the family is numerically
+indistinguishable from min on binary64 grids).  The family decreases
+pointwise in b (Klement, Mesiar & Pap, Triangular Norms, ch. 4), so the
+sign of T_b(x, y) - t goes from + to - once: its sign near b = 1e-3 picks
+the side, a row whose sign does not change over its side has no root, and
+one bisection runs over all other rows together.  The estimate is the
+median of per-sample roots, which ignores the few samples near the
 max{., 0} fold.  Each side is bracketed 0.1% past both ends and the
 estimate clipped back, so a root on an end (ss:60) survives rounding.
 """
@@ -45,8 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GridSpec, _first_max, _gph_report, _targeted_probes,
-                       check_axioms, scan_diagonal)
+from .analysis import (GridSpec, _diagonal_shape, _first_max, _gph_report,
+                       _targeted_probes, check_axioms)
 from .core import (
     CShelf,
     Drastic,
@@ -174,12 +175,10 @@ def fit_beta_from_triples(triples: np.ndarray) -> float:
     return float(np.sign(beta) * np.clip(abs(beta), *BETA_BRACKET))
 
 
-def _diagonal_rows(spec: TNormSpec) -> np.ndarray:
-    """(z, z, T(z, z)) rows over ``_FIT_POINTS`` diagonal points with z and
-    T(z, z) interior and T(z, z) off z^2, thinned evenly by index to
+def _diagonal_rows(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(z, z, t) rows of the diagonal t = T(z, z) on the fit axis where z and
+    t are interior and t is off z^2, thinned evenly by index to
     ``_TARGET_SAMPLES``."""
-    z = np.linspace(0.0, 1.0, _FIT_POINTS)
-    t = tnorm_values(spec, z, z)
     (kept,) = np.nonzero((t > 0.0) & (t < 1.0) & (z > 0.0) & (z < 1.0)
                          & (np.abs(t - z * z) > PRODUCT_GUARD))
     if kept.size < _MIN_SAMPLES:
@@ -200,41 +199,31 @@ def _validation_test(family: str) -> str:
     return "validate_" + re.sub(r"(?<=[a-z])(?=[A-Z])", "_", family).lower()
 
 
-def _shelf_edge(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
-    """CShelf at the shelf edge of :func:`scan_diagonal`, refined by
-    bisection; nothing when the scan finds no shelf."""
-    scan = scan_diagonal(spec, grid).metadata
-    if scan["shelf_edge"] is None:
-        return []
-    return [CShelf(_bisect_diagonal(spec, grid.eq_tol, scan["plateau_end"],
-                                    scan["shelf_edge"], grid.step_h))]
-
-
-def _exponent_fit(spec: TNormSpec, grid: GridSpec, evidence: list) -> list:
-    """SchweizerSklar at the fitted exponent; records the fit as evidence."""
-    try:
-        samples = _diagonal_rows(spec)
-        beta_hat = fit_beta_from_triples(samples)
-    except FitError as err:
-        evidence.append({"test": "beta_fit", "passed": False,
-                         "detail": {"error": str(err)}})
-        return []
-    evidence.append({"test": "beta_fit", "passed": True,
-                     "detail": {"beta_hat": beta_hat,
-                                "samples": int(len(samples))}})
-    return [SchweizerSklar(beta_hat)]
-
-
-#: Each estimator takes (spec, grid, evidence) and returns zero or more
-#: candidate specs.  Their order, not CATALOG_KINDS's, decides which of two
-#: passing candidates wins.
-_ESTIMATORS = (
-    lambda *_: [Minimum()],
-    lambda *_: [Drastic()],
-    _shelf_edge,
-    lambda *_: [Product()],
-    _exponent_fit,
-)
+def _candidates(spec: TNormSpec, grid: GridSpec, evidence: list):
+    """The candidates the diagonal's shape on the fit axis allows, in order
+    (module docstring); the exponent fit records itself as evidence."""
+    z = np.linspace(0.0, 1.0, _FIT_POINTS)
+    t = tnorm_values(spec, z, z)
+    shape, bracket = _diagonal_shape(z, t, grid.eq_tol)
+    if shape == "identity":
+        yield Minimum()
+    elif shape == "zero":
+        yield Drastic()
+    elif shape == "shelf":
+        yield CShelf(_bisect_diagonal(spec, grid.eq_tol, *bracket,
+                                      grid.step_h)[0])
+    else:
+        yield Product()
+        try:
+            samples = _diagonal_rows(z, t)
+            fit = {"beta_hat": fit_beta_from_triples(samples),
+                   "samples": len(samples)}
+        except FitError as err:
+            fit = {"error": str(err)}
+        evidence.append({"test": "beta_fit", "passed": "beta_hat" in fit,
+                         "detail": fit})
+        if "beta_hat" in fit:
+            yield SchweizerSklar(fit["beta_hat"])
 
 
 def _verdict(candidate: TNormSpec) -> tuple[str, Optional[float]]:
@@ -269,18 +258,17 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
     vx, vy = lattice[:, None], lattice[None, :]
     T_valid = tnorm_values(spec, vx, vy)
     residuals: list[float] = []
-    for estimate in _ESTIMATORS:
-        for candidate in estimate(spec, grid, evidence):
-            family, parameter = _verdict(candidate)
-            residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
-            residuals.append(residual)
-            passed = residual <= grid.eq_tol
-            evidence.append({"test": _validation_test(family), "passed": passed,
-                             "detail": {"candidate": spec_label(candidate),
-                                        "residual": residual}})
-            if passed:
-                return ClassificationResult(family, parameter, residual,
-                                            tuple(evidence))
+    for candidate in _candidates(spec, grid, evidence):
+        family, parameter = _verdict(candidate)
+        residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
+        residuals.append(residual)
+        passed = residual <= grid.eq_tol
+        evidence.append({"test": _validation_test(family), "passed": passed,
+                         "detail": {"candidate": spec_label(candidate),
+                                    "residual": residual}})
+        if passed:
+            return ClassificationResult(family, parameter, residual,
+                                        tuple(evidence))
 
     _, probes = _targeted_probes(spec, None)
     max_residual, witness = _first_max(probes) if probes else (0.0, None)

@@ -498,21 +498,22 @@ def diagonal_pseudo_inverse(spec: TNormSpec, y: float, tol: float) -> float:
     # [0, 1] reaches this dyadic cell after 7 halvings (k = 0 only if
     # T(0, 0) > y, which no t-norm has)
     k = max(int(np.argmax(ds > yv)), 1)
-    return _bisect_diagonal(spec, yv, float(zs[k - 1]), float(zs[k]), tol)
+    lo, hi = _bisect_diagonal(spec, yv, float(zs[k - 1]), float(zs[k]), tol)
+    return 0.5 * (lo + hi)
 
 
 def _bisect_diagonal(spec: TNormSpec, level: float, lo: float, hi: float,
-                     tol: float) -> float:
-    """Midpoint of the bracket [lo, hi] on which T(z, z) <= level turns
-    false, narrowed by bisection to width at most tol.  Expects the
-    predicate true at lo and false at hi."""
+                     tol: float) -> tuple[float, float]:
+    """The bracket [lo, hi] on which T(z, z) <= level turns false, narrowed
+    by bisection to width at most tol.  Expects the predicate true at lo and
+    false at hi, and keeps it so."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if eval_tnorm(spec, mid, mid) <= level:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 # --------------------------------------------------------------------------

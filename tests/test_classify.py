@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from tnormlab import analysis
-from tnormlab.analysis import (GridSpec, check_gph, find_gph_counterexample,
-                               scan_diagonal)
+from tnormlab import analysis, core
+from tnormlab.analysis import GridSpec, check_gph, find_gph_counterexample
 from tnormlab.classify import (
     FitError,
     PreconditionError,
@@ -57,6 +56,15 @@ EXPECTED_FAMILY = {
 }
 
 
+#: classify's fit axis, on which it evaluates the diagonal once.
+FIT_AXIS = np.linspace(0.0, 1.0, classify_module._FIT_POINTS)
+
+
+def fit_axis_rows(spec):
+    """The fit's (z, z, T(z, z)) rows of ``spec`` on the fit axis."""
+    return _diagonal_rows(FIT_AXIS, tnorm_values(spec, FIT_AXIS, FIT_AXIS))
+
+
 def sample_triples(spec, n, seed=0xBEEF):
     rng = SplitMix64(seed)
     rows = []
@@ -82,7 +90,7 @@ def test_fit_recovers_exact_exponent(beta, grid):
 def test_fit_product_has_no_informative_samples():
     # every diagonal point sits on t = z*z and is filtered out
     with pytest.raises(FitError, match="only 0 informative diagonal points"):
-        _diagonal_rows(Product())
+        fit_axis_rows(Product())
 
 
 def test_fit_rejects_rows_outside_the_unit_interval():
@@ -150,7 +158,7 @@ def single_row_fits(rows):
 
 #: the rows each member's fit is tested on: the diagonal where it brackets
 #: enough roots, 2-D seeded rows for the ordinal sums.
-FIT_ROWS = {"ss:2": _diagonal_rows, "ss:-1": _diagonal_rows,
+FIT_ROWS = {"ss:2": fit_axis_rows, "ss:-1": fit_axis_rows,
             "osum:[0.5,1,prod]": seeded_rows,
             "osum:[0.2,0.6,luk;0.6,1,prod]": seeded_rows}
 
@@ -217,29 +225,30 @@ def test_classify_cshelf_offgrid_edge(grid):
     assert abs(result.parameter - 0.3) <= grid.step_h
 
 
-@pytest.mark.parametrize("c,edge", [(0.25, 0.24999969482421874),
-                                    (0.5, 0.49999969482421874),
-                                    (0.75, 0.7499996948242187)])
+@pytest.mark.parametrize("c,edge", [(0.25, 0.2499990463256836),
+                                    (0.5, 0.4999990463256836),
+                                    (0.75, 0.7499990463256836)])
 def test_classify_cshelf_edge_bits(c, edge, grid):
-    """The bisection starts from scan_diagonal's shelf bracket; the edge
-    it returns is pinned bit for bit."""
+    """The bisection starts from the shelf bracket on the fit axis, and the
+    edge is its low end, the largest point known to lie in the zero run;
+    pinned bit for bit."""
     assert classify(CShelf(c), grid).parameter == edge
 
 
-#: a product with a pole at z = 1 - step_h, off every grid point.
-POLE_AT_LIMIT_PROBE = "x*y+0*(1/(x-(1-0.000001)))"
+#: a product with a pole at z = 2^-13, the fit axis's first interior point.
+POLE_ON_FIT_AXIS = "x*y+0*(1/(x-0.0001220703125))"
 
 
-def test_classify_raises_the_diagonal_scan_error(grid):
-    """The shelf estimator runs scan_diagonal, limit probe at 1 - step_h
-    included, before Product is validated; so classify raises the error
-    scan_diagonal raises there, not a Product verdict."""
-    spec = Expr(POLE_AT_LIMIT_PROBE)
-    with pytest.raises(EvalError) as scanned:
-        scan_diagonal(spec, grid)
+def test_classify_raises_the_fit_axis_error(grid):
+    """classify evaluates the diagonal on the fit axis before it validates
+    any candidate, so it raises the error that evaluation raises, not a
+    Product verdict."""
+    spec = Expr(POLE_ON_FIT_AXIS)
+    with pytest.raises(EvalError) as evaluated:
+        tnorm_values(spec, FIT_AXIS, FIT_AXIS)
     with pytest.raises(EvalError) as classified:
         classify(spec, grid)
-    assert str(classified.value) == str(scanned.value)
+    assert str(classified.value) == str(evaluated.value)
 
 
 def test_classify_expression_negative_exponent(grid):
@@ -365,21 +374,47 @@ def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):
     monkeypatch.setattr(classify_module, "tnorm_values", counting)
     result = classify(spec, grid)
     assert result.family == "NotGPH"
-    assert sum(e["test"].startswith("validate_") for e in result.evidence) == 3
+    assert sum(e["test"].startswith("validate_") for e in result.evidence) == 1
     assert len(calls) == 1
 
 
-# The tests each verdict lists, in order: every candidate validated up to the
-# first that passes, the fit where it ran, the witness on NotGPH.
+@pytest.mark.parametrize("token", ["min", "cshelf:0.5", "ss:2",
+                                   "osum:[0.2,0.6,luk;0.6,1,prod]"])
+def test_classify_evaluates_the_diagonal_once(token, grid, monkeypatch):
+    # one diagonal vector, on the fit axis, decides the candidates and feeds
+    # the fit; the diagonal scan is not consulted.  Single points are the
+    # shelf edge's bisection steps.
+    spec = parse_spec(token)
+    diagonals = []
+
+    def recording(s, x, y):
+        if (s == spec and np.ndim(x) == 1 and np.size(x) > 1
+                and np.array_equal(x, y)):
+            diagonals.append(np.array(x))
+        return tnorm_values(s, x, y)
+
+    def no_scan(*args):
+        raise RuntimeError("classify ran the diagonal scan")
+
+    for module in (core, analysis, classify_module):
+        monkeypatch.setattr(module, "tnorm_values", recording)
+    monkeypatch.setattr(analysis, "scan_diagonal", no_scan)
+    classify(spec, grid)
+    assert len(diagonals) == 1
+    assert np.array_equal(diagonals[0], FIT_AXIS)
+    assert not hasattr(classify_module, "scan_diagonal")
+
+
+# The tests each verdict lists, in order: the candidates the diagonal's
+# shape allows, validated up to the first that passes, the fit where it ran,
+# the witness on NotGPH.
 EVIDENCE_TESTS = {
     "min": ["axioms", "validate_minimum"],
-    "cshelf:0.5": ["axioms", "validate_minimum", "validate_drastic",
-                   "validate_cshelf"],
-    "ss:2": ["axioms", "validate_minimum", "validate_drastic",
-             "validate_product", "beta_fit", "validate_schweizer_sklar_pos"],
+    "cshelf:0.5": ["axioms", "validate_cshelf"],
+    "ss:2": ["axioms", "validate_product", "beta_fit",
+             "validate_schweizer_sklar_pos"],
     "osum:[0.2,0.6,luk;0.6,1,prod]": [
-        "axioms", "validate_minimum", "validate_drastic", "validate_product",
-        "beta_fit", "gph_counterexample"],
+        "axioms", "validate_product", "beta_fit", "gph_counterexample"],
 }
 
 
@@ -396,9 +431,9 @@ def test_classify_fits_only_after_cheaper_candidates_fail(token, fits, grid,
                                                           monkeypatch):
     calls = []
 
-    def recording(spec):
-        calls.append(spec)
-        return _diagonal_rows(spec)
+    def recording(z, t):
+        calls.append(t)
+        return _diagonal_rows(z, t)
 
     monkeypatch.setattr(classify_module, "_diagonal_rows", recording)
     classify(parse_spec(token), grid)
@@ -432,10 +467,9 @@ def test_classify_exponent_does_not_depend_on_the_seed():
     assert first == second
 
 
-# Verdicts that are wrong at the default grid: shelf edges inside a
-# boundary cell or on a grid point, and a summand the validation lattice
-# never enters.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4/5")
+# Shelf edges inside a boundary cell or on a grid point of the default grid,
+# and a summand the validation lattice never enters: the fit axis resolves
+# them all.
 @pytest.mark.parametrize("token,family,parameter", [
     ("cshelf:0.005", "CShelf", 0.005),
     ("cshelf:0.01", "CShelf", 0.01),
@@ -443,11 +477,29 @@ def test_classify_exponent_does_not_depend_on_the_seed():
     ("cshelf:0.999", "CShelf", 0.999),
     ("osum:[0.5,0.502,drastic]", "NotGPH", None),
 ])
-def test_classify_known_wrong_verdict(token, family, parameter, grid):
+def test_classify_edge_cells_and_narrow_summand(token, family, parameter,
+                                                grid):
     result = classify(parse_spec(token), grid)
     assert result.family == family
     if parameter is not None:
         assert abs(result.parameter - parameter) <= PARAM_TOL
+
+
+@pytest.mark.parametrize("token,points", [("cshelf:0.005", 101),
+                                          ("cshelf:0.995", 101),
+                                          ("cshelf:0.01", 51),
+                                          ("cshelf:0.99", 51)])
+def test_classify_shelf_edge_on_a_validation_point(token, points):
+    # the edge is a validation-lattice point, where the spec is already min:
+    # an estimate above the edge would put it in the candidate's zero run
+    grid = GridSpec(points=points)
+    spec = parse_spec(token)
+    assert np.abs(grid.validation_axis() - spec.c).min() <= 1e-15
+    result = classify(spec, grid)
+    assert result.family == "CShelf"
+    assert result.parameter <= spec.c
+    assert abs(result.parameter - spec.c) <= PARAM_TOL
+    assert result.residual == 0.0
 
 
 def test_classify_requires_axioms(grid):

@@ -455,10 +455,10 @@ def test_closed_stdout_keeps_verdict_exit_code(tnorm):
     assert "Traceback" not in err
 
 
-def test_classify_pole_at_the_limit_probe_exits_2(capsys):
-    # the diagonal scan's limit probe 1 - step_h meets the pole
+def test_classify_pole_on_the_fit_axis_exits_2(capsys):
+    # the diagonal's fit axis meets the pole at its first interior point
     code, out, err = run(capsys, "classify", "--tnorm",
-                         "expr:x*y+0*(1/(x-(1-0.000001)))")
+                         "expr:x*y+0*(1/(x-0.0001220703125))")
     assert code == 2
     assert out == ""
     assert "division by zero" in err

@@ -528,11 +528,13 @@ def test_pseudo_inverse_ss_positive_against_oracle():
 
 @pytest.mark.parametrize("name,spec,_", FAMILY_MATRIX, ids=MATRIX_IDS)
 def test_pseudo_inverse_sampled_bracket_matches_full_bisection(name, spec, _):
-    # the reference: bisection of the whole [0, 1]
+    # the reference: the midpoint of the bracket that bisecting the whole
+    # [0, 1] leaves
     for y in (0.0, 1e-6, 0.01, 0.25, 0.45, 0.5, 0.9, 0.999):
         for tol in (1e-12, 1e-9, 1e-6):
-            assert diagonal_pseudo_inverse(spec, y, tol) == \
-                core._bisect_diagonal(spec, y, 0.0, 1.0, tol), (y, tol)
+            lo, hi = core._bisect_diagonal(spec, y, 0.0, 1.0, tol)
+            assert diagonal_pseudo_inverse(spec, y, tol) == 0.5 * (lo + hi), \
+                (y, tol)
 
 
 def test_pseudo_inverse_full_range():
