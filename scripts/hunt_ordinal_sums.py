@@ -5,12 +5,9 @@ Draws random ordinal sums (1-3 summands, widths log-uniform down to 1e-5,
 random inner kinds), runs the counterexample search, the intrinsic
 ``check_gph`` and ``classify`` on each, and reports the search's violation
 gaps.  Every non-trivial ordinal sum must fail both checks and be NotGPH;
-a draw that a check passes, or that classify gives a family while one of
-its summands is at least as wide as the spacing of classify's diagonal
-axis, would be a bug worth keeping, so the script exits nonzero in that
-case and prints the offending construction.  A family for a draw whose
-summands are all narrower than that spacing is printed as below
-resolution and is not a miss.
+a draw that a check passes, or that classify gives a family, would be a
+bug worth keeping, so the script exits nonzero in that case and prints
+the offending construction.
 
     python scripts/hunt_ordinal_sums.py --draws 50 --seed 7
 """
@@ -20,7 +17,7 @@ import sys
 
 from tnormlab import GridSpec, Lukasiewicz, OrdinalSum, Product, SchweizerSklar
 from tnormlab.analysis import check_gph, find_gph_counterexample
-from tnormlab.classify import _FIT_POINTS, classify
+from tnormlab.classify import classify
 from tnormlab.core import spec_label
 from tnormlab.rng import SplitMix64
 
@@ -57,7 +54,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rng = SplitMix64(args.seed)
-    spacing = 1.0 / (_FIT_POINTS - 1)  # of classify's diagonal axis
     grid = GridSpec(points=args.points, samples=args.samples, seed=args.seed)
     misses = []
     gaps = []
@@ -70,11 +66,7 @@ def main(argv=None):
                                            ("verify", verdict)) if check.passed]
         family = classify(spec, grid).family
         if family != "NotGPH":
-            if all(s.upper - s.lower < spacing for s in spec.summands):
-                print(f"[{i:03d}] classify: {family}, below resolution"
-                      f" (summands narrower than {spacing:.3g})  {label}")
-            else:
-                passed.append(f"classify ({family})")
+            passed.append(f"classify ({family})")
         if passed:
             misses.append(label)
             print(f"[{i:03d}] PASSES {' and '.join(passed)}  {label}")

@@ -4,22 +4,23 @@ Given any t-norm description that passes the axiom suite, decide which
 catalog family it is (estimating the exponent or the shelf edge where the
 family is parametric) or certify NotGPH with a scaling-equation witness.
 
-Decision procedure: classify evaluates T(z, z) once, on a fixed axis of
-2^13 + 1 points.  Its shape on the interior (zero meaning at most eq_tol,
-identity at least z - eq_tol) nominates the candidates: the identity
-Minimum; zero Drastic; a zero run then the identity CShelf, at the low end
-of the run's bracket narrowed by bisection; any other shape Product, then
+Decision procedure: after the axioms, an ordinal sum's targeted probes.
+Every non-trivial sum fails the scaling equation, so a first maximal probe
+gap above eq_tol is NotGPH with that witness, and no candidate is tried
+(the summands are catalog kinds, so nothing that could raise is skipped).
+Otherwise classify evaluates T(z, z) once, on a fixed axis of 2^13 + 1
+points.  Its shape on the interior (zero meaning at most eq_tol, identity
+at least z - eq_tol) nominates the candidates: the identity Minimum; zero
+Drastic; a zero run then the identity CShelf, at the low end of the run's
+bracket narrowed by bisection; any other shape Product, then
 Schweizer-Sklar at the exponent fitted from the same vector (its sign
-picks the branch).  A shelf or summand narrower than the axis spacing is
-invisible to the shape.  Validation decides: each candidate is compared
-with the spec on a validation lattice offset from the decision grid, and
-the first whose residual is within eq_tol is the verdict, so a parametric
-family is never returned with validation residual above eq_tol.  When
-none passes, the verdict is NotGPH with the smallest validation residual
-and a scaling-equation witness: an ordinal sum's first maximal probe when
-it exceeds eq_tol, else that of check_gph, given the probes as its last
-piece.  A probe-decided sum skips the sweep, so unlike check_gph classify
-does not raise an error that only the sweep would.
+picks the branch).  A shelf narrower than the axis spacing is invisible to
+the shape.  Validation decides: each candidate is compared with the spec
+on a validation lattice offset from the decision grid, and the first whose
+residual is within eq_tol is the verdict, so a parametric family is never
+returned with validation residual above eq_tol.  When none passes, the
+verdict is NotGPH with check_gph's witness, the probes its last piece.
+NotGPH's residual is its witness gap, the evidence's max_residual.
 
 The exponent fit reads the diagonal, where the family gives
 T(z, z) = (2z^b - 1)^(1/b): it keeps the axis points with z and T(z, z)
@@ -97,9 +98,9 @@ class FitError(Exception):
 @dataclass(frozen=True)
 class ClassificationResult:
     family: str  # the validated candidate's kind, SchweizerSklar with Pos or
-    #             Neg by the sign of beta; NotGPH when no candidate validates
+    #             Neg by the sign of beta; else NotGPH
     parameter: Optional[float]
-    residual: float
+    residual: float  # the validation residual; NotGPH's witness gap
     evidence: tuple
 
     def to_dict(self) -> dict:
@@ -254,29 +255,26 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
             f"axiom suite failed ({axioms.metadata['failed_axiom']}): "
             f"{axioms.summary()}")
 
-    lattice = grid.validation_axis()
-    vx, vy = lattice[:, None], lattice[None, :]
-    T_valid = tnorm_values(spec, vx, vy)
-    residuals: list[float] = []
-    for candidate in _candidates(spec, grid, evidence):
-        family, parameter = _verdict(candidate)
-        residual = float(np.abs(T_valid - tnorm_values(candidate, vx, vy)).max())
-        residuals.append(residual)
-        passed = residual <= grid.eq_tol
-        evidence.append({"test": _validation_test(family), "passed": passed,
-                         "detail": {"candidate": spec_label(candidate),
-                                    "residual": residual}})
-        if passed:
-            return ClassificationResult(family, parameter, residual,
-                                        tuple(evidence))
-
     _, probes = _targeted_probes(spec, None)
-    max_residual, witness = _first_max(probes) if probes else (0.0, None)
-    if max_residual <= grid.eq_tol:
+    gap, witness = _first_max(probes) if probes else (0.0, None)
+    if gap <= grid.eq_tol:
+        lattice = grid.validation_axis()
+        vx, vy = lattice[:, None], lattice[None, :]
+        T_valid = tnorm_values(spec, vx, vy)
+        for candidate in _candidates(spec, grid, evidence):
+            family, parameter = _verdict(candidate)
+            residual = float(np.abs(T_valid
+                                    - tnorm_values(candidate, vx, vy)).max())
+            passed = residual <= grid.eq_tol
+            evidence.append({"test": _validation_test(family), "passed": passed,
+                             "detail": {"candidate": spec_label(candidate),
+                                        "residual": residual}})
+            if passed:
+                return ClassificationResult(family, parameter, residual,
+                                            tuple(evidence))
         sweep = _gph_report(spec, None, grid, lambda: probes)
-        max_residual, witness = sweep.max_residual, sweep.witness
+        gap, witness = sweep.max_residual, sweep.witness
     evidence.append({"test": "gph_counterexample", "passed": witness is None,
                      "detail": {"witness": witness and witness.to_dict(),
-                                "max_residual": max_residual}})
-
-    return ClassificationResult("NotGPH", None, min(residuals), tuple(evidence))
+                                "max_residual": gap}})
+    return ClassificationResult("NotGPH", None, gap, tuple(evidence))

@@ -658,6 +658,17 @@ def test_ph_catalog_kinds(grid):
         assert report.passed == strict, name
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: no grid point lies in"
+                   " a zero run at most one grid spacing wide")
+@pytest.mark.parametrize("c,points", [(0.005, 51), (0.005, 101), (0.01, 51),
+                                      (0.01, 101), (0.02, 51)])
+def test_ph_cshelf_fails_for_every_edge(c, points):
+    # F(x, 1) = T(x, x) = 0 on (0, c), so the boundary test fails every edge
+    report = check_pseudo_homogeneous(Catalog(CShelf(c)),
+                                      GridSpec(points=points))
+    assert not report.passed
+
+
 def test_ph_boundary_gap_is_nonnegative_at_coarse_tolerance():
     # F(x, 1) = x + 0.1 stays under eq_tol up to x = 0.1, where F exceeds x
     report = check_pseudo_homogeneous(Expr("min(x*y+0.1*y,1)"),

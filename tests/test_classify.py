@@ -311,17 +311,23 @@ def assert_cites_the_search(result, search):
 
 @pytest.mark.parametrize("spec", PROBED_SUMS, ids=map(spec_label, PROBED_SUMS))
 def test_classify_takes_a_probe_witness_without_the_sweep(spec, monkeypatch):
+    # a decisive probe is the verdict: classify evaluates neither the
+    # validation lattice nor the fit axis, and does not sweep
     grid = GridSpec(points=51)
     search = find_gph_counterexample(spec, grid)
     assert search.metadata["witness_source"] in ("case1", "case2")
 
-    def no_sweep(*args):
-        raise RuntimeError("classify swept a probe-decided sum")
+    def refuse(*args):
+        raise RuntimeError("classify went past a decisive probe")
 
-    monkeypatch.setattr(classify_module, "_gph_report", no_sweep)
+    for name in ("_gph_report", "tnorm_values"):
+        monkeypatch.setattr(classify_module, name, refuse)
     result = classify(spec, grid)
     assert result.family == "NotGPH"
+    assert [e["test"] for e in result.evidence] == ["axioms",
+                                                    "gph_counterexample"]
     assert_cites_the_search(result, search)
+    assert result.residual == search.max_residual
 
 
 @pytest.mark.parametrize("spec", PROBED_SUMS, ids=map(spec_label, PROBED_SUMS))
@@ -360,9 +366,14 @@ def test_classify_sweeps_a_spec_without_probes(monkeypatch):
     assert_cites_the_search(result, search)
 
 
+#: EXPR_TNORMS[1]: its diagonal nominates Product and the fit, which fail.
+EINSTEIN = "expr:x*y/(2-(x+y-x*y))"
+
+
 def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):
     # the spec's table on the validation lattice is shared by all candidates
-    spec = parse_spec("osum:[0.2,0.6,luk;0.6,1,prod]")
+    spec = parse_spec(EINSTEIN)
+    assert spec == EXPR_TNORMS[1]
     lattice = grid.validation_axis()
     calls = []
 
@@ -374,12 +385,12 @@ def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):
     monkeypatch.setattr(classify_module, "tnorm_values", counting)
     result = classify(spec, grid)
     assert result.family == "NotGPH"
-    assert sum(e["test"].startswith("validate_") for e in result.evidence) == 1
+    assert sum(e["test"].startswith("validate_") for e in result.evidence) == 2
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("token", ["min", "cshelf:0.5", "ss:2",
-                                   "osum:[0.2,0.6,luk;0.6,1,prod]"])
+                                   EINSTEIN])
 def test_classify_evaluates_the_diagonal_once(token, grid, monkeypatch):
     # one diagonal vector, on the fit axis, decides the candidates and feeds
     # the fit; the diagonal scan is not consulted.  Single points are the
@@ -405,16 +416,17 @@ def test_classify_evaluates_the_diagonal_once(token, grid, monkeypatch):
     assert not hasattr(classify_module, "scan_diagonal")
 
 
-# The tests each verdict lists, in order: the candidates the diagonal's
-# shape allows, validated up to the first that passes, the fit where it ran,
-# the witness on NotGPH.
+# The tests each verdict lists, in order: a decisive probe's witness alone;
+# else the candidates the diagonal's shape allows, validated up to the first
+# that passes, the fit where it ran, the witness on NotGPH.
 EVIDENCE_TESTS = {
     "min": ["axioms", "validate_minimum"],
     "cshelf:0.5": ["axioms", "validate_cshelf"],
     "ss:2": ["axioms", "validate_product", "beta_fit",
              "validate_schweizer_sklar_pos"],
-    "osum:[0.2,0.6,luk;0.6,1,prod]": [
-        "axioms", "validate_product", "beta_fit", "gph_counterexample"],
+    "osum:[0.2,0.6,luk;0.6,1,prod]": ["axioms", "gph_counterexample"],
+    EINSTEIN: ["axioms", "validate_product", "beta_fit",
+               "validate_schweizer_sklar_pos", "gph_counterexample"],
 }
 
 
@@ -483,6 +495,32 @@ def test_classify_edge_cells_and_narrow_summand(token, family, parameter,
     assert result.family == family
     if parameter is not None:
         assert abs(result.parameter - parameter) <= PARAM_TOL
+
+
+#: the population's single summands narrower than the fit axis's spacing,
+#: whose probe gaps are 2.6e-6 to 1.2e-5, and sums of min summands, whose
+#: probe gaps are exactly 0.
+@pytest.mark.parametrize("points", [51, 101])
+@pytest.mark.parametrize("token,family", [
+    ("osum:[0.006072646828954813,0.006094510339350785,prod]", "NotGPH"),
+    ("osum:[0.08062843598067297,0.08066818110449443,luk]", "NotGPH"),
+    ("osum:[0.5041579423004151,0.5042170752371065,luk]", "NotGPH"),
+    ("osum:[0.9384276934295829,0.93845466101683,luk]", "NotGPH"),
+    ("osum:[0.2,0.6,min]", "Minimum"),
+    ("osum:[0.3,0.7,min;0.8,0.9,min]", "Minimum"),
+])
+def test_classify_reads_the_probes_first(token, family, points):
+    # a probe gap above eq_tol is the verdict and its residual; a zero gap
+    # vetoes nothing
+    grid = GridSpec(points=points)
+    spec = parse_spec(token)
+    gap, _ = analysis._first_max(analysis._targeted_probes(spec, None)[1])
+    result = classify(spec, grid)
+    assert result.family == family
+    if family == "NotGPH":
+        assert result.residual == gap > grid.eq_tol
+    else:
+        assert gap == 0.0
 
 
 @pytest.mark.parametrize("token,points", [("cshelf:0.005", 101),

@@ -31,19 +31,22 @@ SEED = 20261019
 GRID = GridSpec(points=51, samples=200, seed=SEED)
 
 #: wrong members per (kind, entry point) on this draw of 40 ``ss``, 20
-#: ``cshelf`` and 60 ordinal sums.  The four sums classify misses are single
-#: summands narrower than the 2^-13 spacing of its diagonal axis, so the
-#: diagonal's shape does not see them.  The one ordinal sum that verify and
-#: counterexample pass has a ``cshelf`` summand, [0.1468, 0.1580] with its
-#: edge at 0.0047, whose zero part (about 5e-5 wide) neither the grid nor
-#: the targeted probes reach (ROADMAP items 4, 5, 8).
+#: ``cshelf`` and 60 ordinal sums.  classify reads the targeted probes
+#: first, so a summand narrower than its diagonal axis's spacing is NotGPH
+#: by its probe witness.  One ordinal sum has a ``cshelf`` summand,
+#: [0.1468, 0.1580] with its edge at 0.0047, whose zero part (about 5e-5
+#: wide) neither the grid nor the targeted probes reach: verify and
+#: counterexample pass it, and classify's NotGPH for it carries no witness
+#: (ROADMAP items 5, 8, 11).
 WRONG = {
     ("ss", "verify"): 0, ("ss", "counterexample"): 0, ("ss", "classify"): 0,
     ("cshelf", "verify"): 0, ("cshelf", "counterexample"): 0,
     ("cshelf", "classify"): 0,
     ("osum", "verify"): 1, ("osum", "counterexample"): 1,
-    ("osum", "classify"): 4,
+    ("osum", "classify"): 0,
 }
+#: NotGPH verdicts whose evidence carries no witness.
+WITNESSLESS = 1
 
 
 def _log_uniform(lo: float, hi: float, rng: SplitMix64) -> float:
@@ -100,15 +103,15 @@ def paper_verdict(spec):
     return False, "NotGPH", None
 
 
-def wrong_entry_points(spec):
-    """The entry points whose verdict on ``spec`` differs from the paper's."""
+def wrong_entry_points(spec, result):
+    """The entry points whose verdict on ``spec`` differs from the paper's,
+    ``result`` being classify's."""
     gph, family, parameter = paper_verdict(spec)
     wrong = set()
     if check_gph(spec, None, GRID).passed != gph:
         wrong.add("verify")
     if find_gph_counterexample(spec, GRID).passed != gph:
         wrong.add("counterexample")
-    result = classify(spec, GRID)
     if result.family != family or (
             parameter is not None
             and not abs(result.parameter - parameter) <= PARAM_TOL):
@@ -121,6 +124,11 @@ def members():
     return population()
 
 
+@pytest.fixture(scope="module")
+def classified(members):
+    return [(kind, spec, classify(spec, GRID)) for kind, spec in members]
+
+
 def test_draw_covers_every_summand_kind(members):
     kinds = {type(s.inner) for kind, spec in members if kind == "osum"
              for s in spec.summands}
@@ -129,7 +137,13 @@ def test_draw_covers_every_summand_kind(members):
             if kind == "osum"} == {1, 2}
 
 
-def test_wrong_verdicts_per_kind_and_entry_point(members):
-    counts = Counter((kind, entry) for kind, spec in members
-                     for entry in wrong_entry_points(spec))
+def test_wrong_verdicts_per_kind_and_entry_point(classified):
+    counts = Counter((kind, entry) for kind, spec, result in classified
+                     for entry in wrong_entry_points(spec, result))
     assert {cell: counts[cell] for cell in WRONG} == WRONG
+
+
+def test_not_gph_verdicts_without_a_witness(classified):
+    witnesses = [e["detail"]["witness"] for _, _, result in classified
+                 for e in result.evidence if e["test"] == "gph_counterexample"]
+    assert witnesses.count(None) == WITNESSLESS
