@@ -193,12 +193,15 @@ def _first_failing(subtests) -> tuple[bool, float, Optional[Witness]]:
 def _first_max(pieces) -> tuple[float, Witness]:
     """The largest residual over ``pieces`` of (residual, lam, x, y, lhs,
     rhs) and the witness at its first occurrence: pieces in order, entries
-    in C order, and a later piece wins only with a strictly larger value."""
+    in C order, and a later piece wins only with a strictly larger value.
+    Each piece is let go before the next is requested, so a sweep's
+    workspace is freed before the pieces after it allocate theirs."""
     best = None
     for res, *slots in pieces:
         i = int(np.argmax(res))
         if best is None or res.flat[i] > best:
             best, witness = float(res.flat[i]), _witness_at(i, *slots)
+        del res, slots
     return best, witness
 
 
@@ -299,20 +302,32 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # --------------------------------------------------------------------------
 
 def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t,
-                   at=None, lhs=None):
+                   at=None, cells=None, out=(None,) * 6):
     """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
     equation, lhs = T(l*x, l*y) and rhs = F(l, T(x, y)).  With ``at``
     omitted ``t`` is T(x, y) and both sides are evaluated entrywise; else
     ``lam`` is a block of lambdas on a leading axis, ``t`` holds distinct
-    values with t[at] = T(x, y), and F(l, t) is gathered at ``at``.
-    ``lhs``, when given, is T(l*x, l*y) already."""
-    lhs = tnorm_values(spec, lam * x, lam * y) if lhs is None else lhs
-    if at is None:
-        rhs = companion_values(comp, lam, t)
+    values with t[at] = T(x, y), and F(l, t) is gathered at ``at``.  With
+    ``cells`` = (g, ix, iy), x = g[ix] and y = g[iy], a spec's
+    ``argument_power`` is taken once per (l, g) and gathered.  ``out``
+    holds the buffers of l*x, l*y, the two gathered powers, rhs and the
+    residual (None allocates); a piece formed in them is valid only until
+    the next piece is requested."""
+    lx = np.multiply(lam, x, out=out[0])
+    ly = np.multiply(lam, y, out=out[1])
+    if cells is None or spec.argument_power is None:
+        lhs = tnorm_values(spec, lx, ly)
     else:
-        rhs = np.take(companion_values(comp, np.reshape(lam, (-1, 1)), t),
-                      at, axis=1)
-    return np.abs(lhs - rhs), lam, x, y, lhs, rhs
+        g, ix, iy = cells
+        table = spec.argument_power(lam * g)
+        lhs = spec.join(lx, ly,
+                        np.take(table, ix, axis=1, out=out[2], mode="clip"),
+                        np.take(table, iy, axis=1, out=out[3], mode="clip"))
+    rhs = companion_values(comp, lam, t)
+    if at is not None:
+        rhs = np.take(rhs, at, axis=1, out=out[4], mode="clip")
+    res = np.subtract(lhs, rhs, out=out[5])
+    return np.abs(res, out=out[5]), lam, x, y, lhs, rhs
 
 
 def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,27 +356,27 @@ def _reference_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
 def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
     """Yield the scaling-equation pieces of the grid lambdas in scan order,
     over the (x, y) grid with x on axis 0, or for a ``symmetric`` spec over
-    its upper triangle x <= y as flat arrays in C order.  Each piece is a
+    its upper triangle x <= y, as flat arrays in C order.  Each piece is a
     block of consecutive lambda slices on a leading axis, at most _BLOCK
     triples or one slice.  The companion side reads (x, y) only through
     T(x, y), so each slice evaluates it once per distinct T value and
     gathers.  So does the lhs with a spec's ``argument_power``, once per
-    (l, axis point).  Its maximum is the reference sweep's; its errors need
-    not be."""
+    (l, axis point).  Every piece is formed in one workspace allocated per
+    call, so a piece is valid only until the next piece is requested.  Its
+    maximum is the reference sweep's; its errors need not be."""
     g = grid.axis()
     n = g.size
-    ix, iy = np.triu_indices(n) if spec.symmetric else np.ogrid[:n, :n]
+    ix, iy = (np.triu_indices(n) if spec.symmetric
+              else np.indices((n, n)).reshape(2, -1))
     x, y = g[ix], g[iy]
     t, at = _distinct(tnorm_values(spec, x, y))
-    lams = g.reshape((-1,) + (1,) * x.ndim)
+    lams = g[:, None]
     step = max(1, _BLOCK // at.size)
+    work = np.empty((6, min(step, n), at.size))
     for start in range(0, n, step):
-        lam, lhs = lams[start:start + step], None
-        if spec.argument_power is not None:
-            table = spec.argument_power(g[start:start + step, None] * g)
-            lhs = spec.join(lam * x, lam * y, np.take(table, ix, axis=1),
-                            np.take(table, iy, axis=1))
-        yield _scaling_piece(spec, comp, lam, x, y, t, at, lhs)
+        lam = lams[start:start + step]
+        yield _scaling_piece(spec, comp, lam, x, y, t, at, (g, ix, iy),
+                             work[:, :lam.shape[0]])
 
 
 def _targeted_probes(spec: TNormSpec, f: Optional[CompanionF]):

@@ -211,10 +211,10 @@ class SchweizerSklar(_Kind):
             # s = +inf where an argument is 0 (T = 0 already) or where x^b
             # overflowed; rescale the latter by the smaller argument, whose
             # power factors out: T = m * (1 + (m/M)^|b| - m^|b|)^(1/b).
-            m = np.minimum(x, y)
-            overflow = np.isinf(s) & (m > 0.0)
+            # The test reads bools only: no points^2 float temporary.
+            overflow = (s == np.inf) & (x > 0.0) & (y > 0.0)
             if overflow.any():
-                m = m[overflow]
+                m = np.minimum(x, y)[overflow]
                 big = np.maximum(x, y)[overflow]
                 bracket = 1.0 + np.power(m / big, -beta) - np.power(m, -beta)
                 out[overflow] = m * np.power(bracket, inv)

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import lru_cache
 from itertools import chain, islice
@@ -427,6 +429,13 @@ SS_MATRIX = [(name, s) for name, s, _ in FAMILY_MATRIX
              if isinstance(s, SchweizerSklar)]
 
 
+def full_layout(spec):
+    """``spec`` swept over the full cube, as a spec that is not symmetric."""
+    spec = dataclasses.replace(spec)
+    object.__setattr__(spec, "symmetric", False)
+    return spec
+
+
 @pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
 @pytest.mark.parametrize("spec", [s for _, s in SS_MATRIX],
                          ids=[name for name, _ in SS_MATRIX])
@@ -436,8 +445,7 @@ def test_tabulated_powers_give_the_kernel_bits(spec, half):
     full cube (the layout of a spec that is not symmetric), the l = 1 and
     x = 0 rows included."""
     if not half:
-        spec = SchweizerSklar(spec.beta)
-        object.__setattr__(spec, "symmetric", False)
+        spec = full_layout(spec)
     lams, xs = set(), set()
     for _, lam, x, y, lhs, _ in an._gph_slices(spec, Canonical(spec),
                                                GridSpec(points=51)):
@@ -447,6 +455,52 @@ def test_tabulated_powers_give_the_kernel_bits(spec, half):
         lams.update(np.ravel(lam).tolist())
         xs.update(np.ravel(x).tolist())
     assert 1.0 in lams and 0.0 in xs
+
+
+@pytest.mark.parametrize("spec", [
+    Product(), SchweizerSklar(-0.5), full_layout(Product()),
+    full_layout(SchweizerSklar(-0.5)), Expr("x^3*y")],
+    ids=["prod", "ss:-0.5", "prod-full", "ss:-0.5-full", "x^3*y"])
+def test_pieces_share_one_workspace(spec):
+    """Consecutive pieces of one sweep are formed in the same residual
+    buffer, on the half and on the full layout, and each piece is a fresh
+    evaluation of both sides bit for bit while it is current."""
+    comp = Canonical(spec)
+    pieces = 0
+    last = None
+    for res, lam, x, y, lhs, rhs in an._gph_slices(spec, comp,
+                                                   GridSpec(points=51)):
+        assert x.shape == (51 * 52 // 2 if spec.symmetric else 51 ** 2,)
+        want_lhs = tnorm_values(spec, lam * x, lam * y)
+        want_rhs = companion_values(comp, lam, tnorm_values(spec, x, y))
+        for got, want in ((lhs, want_lhs), (rhs, want_rhs),
+                          (res, np.abs(want_lhs - want_rhs))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if last is not None:
+            assert np.shares_memory(res, last)
+        last = res
+        pieces += 1
+    # blocks of 12 lambda slices on the half layout, of 6 on the full one
+    assert pieces == (5 if spec.symmetric else 9)
+
+
+@pytest.mark.parametrize("tnorm", ["ss:-0.5", "min",
+                                   "expr:x*y/(2-(x+y-x*y))"])
+def test_gph_memory_stays_quadratic_in_points(tnorm):
+    """The traced peak of check_gph stays within 1.5 MB + 100 B * points^2
+    at 101, 151 and 201 points (about 3.4 MB for ss:-0.5 at 201); a
+    workspace of points^3 entries would read about 65 MB there."""
+    spec = parse_spec(tnorm)
+    for points in (101, 151, 201):
+        grid = GridSpec(points=points)
+        check_gph(spec, None, grid)
+        tracemalloc.start()
+        try:
+            check_gph(spec, None, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6 + 100 * points ** 2, (points, peak)
 
 
 def test_only_costly_argument_work_is_tabulated():

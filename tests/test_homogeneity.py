@@ -1,8 +1,12 @@
-"""Two characterisations the paper builds on, as scaling equations.
+"""Three characterisations the paper builds on, as scaling equations.
 
 Homogeneity of order k, T(l*x, l*y) = l^k * T(x, y), is the scaling
 equation with the companion F(l, t) = l^k * t.  Among the t-norms swept
 here only the minimum (k = 1) and the product (k = 2) have it.
+
+A t-conorm S is homogeneous of order k only as max(x, y) with k = 1
+(Alsina, Frank and Schweizer): the same equation, swept with the
+conorm written as an expression.
 
 Quasi-homogeneity (Ebanks 1998) asks for a companion of the form
 F(l, t) = phi^-1(psi(l) * phi(t))."""
@@ -29,6 +33,27 @@ def test_homogeneous_exactly_at_min_order_1_and_prod_order_2(spec):
     passed = {k for k in ORDERS
               if check_gph(spec, Expr(f"x^{k}*y"), grid).passed}
     assert passed == {k for name, k in HOMOGENEOUS if name == spec_label(spec)}
+
+
+#: the maximum and two t-conorms that are not idempotent.
+CONORMS = ["max(x,y)", "x+y-x*y", "min(x+y,1)"]
+
+
+@pytest.mark.parametrize("conorm", CONORMS)
+def test_homogeneous_conorm_is_max_of_order_1(conorm):
+    """S(l*x, l*y) = l^k * S(x, y) holds only for S = max at k = 1; max
+    misses k = 1 -+ 1e-3 by 3.68e-4.  The argument, written for this test:
+    S(x, 0) = x gives l*x = l^k * x, so k = 1; then S(l, l) = l * S(1, 1)
+    = l, so S is idempotent, and max(x, y) <= S(x, y) <= S(m, m) = m for
+    m = max(x, y) by monotonicity."""
+    grid = GridSpec(points=51, samples=200)
+    reports = {k: check_gph(Expr(conorm), Expr(f"x^{k}*y"), grid)
+               for k in (0.5, 0.999, 1.0, 1.001, 2.0)}
+    passed = {k for k, report in reports.items() if report.passed}
+    assert passed == ({1.0} if conorm == "max(x,y)" else set())
+    if conorm == "max(x,y)":
+        for k in (0.999, 1.001):
+            assert reports[k].max_residual == pytest.approx(3.68e-4, abs=1e-6)
 
 
 def ebanks_companion(beta, psi_order=1):
