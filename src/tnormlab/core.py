@@ -463,13 +463,21 @@ def eval_companion(f: CompanionF, x: float, y: float) -> float:
 
 
 def t_power(spec: TNormSpec, x: float, n: int) -> float:
-    """n-fold composition x^(n): x^(1) = x, x^(n) = T(x, x^(n-1))."""
+    """n-fold composition x^(n): x^(1) = x, x^(n) = T(x, x^(n-1)).
+
+    The sequential value, computed until it stops changing: each step reads
+    its argument through as_unit (-0.0 as 0.0), so once T(x, p) == p every
+    later power is T(x, p) bit for bit; a nilpotent member stops at 0.
+    """
     if n < 1:
         raise ValueError(f"power index must be >= 1, got {n}")
     xv = as_unit(x, "x")
     p = xv
     for _ in range(n - 1):
-        p = eval_tnorm(spec, xv, p)
+        q = eval_tnorm(spec, xv, p)
+        if q == p:
+            return q
+        p = q
     return p
 
 
@@ -477,11 +485,14 @@ _PSEUDO_INVERSE_SAMPLES = 129
 
 
 def diagonal_pseudo_inverse(spec: TNormSpec, y: float, tol: float) -> float:
-    """sup{z : T(z, z) <= y}, located by bisection to absolute accuracy tol.
+    """sup{z : T(z, z) <= y}, located by bisection to absolute accuracy tol,
+    or to two adjacent floats where tol is below their spacing.
 
     Meaningful for t-norms with a continuous increasing diagonal (the
     strict and nilpotent catalog kinds); a non-monotone sampled diagonal
-    raises StructuralError.
+    raises StructuralError.  One array call samples the diagonal at 129
+    points; the bisection takes one more per 8 halvings (3 down to tol =
+    1e-9), or one eval_tnorm call per halving where that call raises.
     """
     yv = as_unit(y, "y")
     if not tol > 0.0:
@@ -505,14 +516,47 @@ def diagonal_pseudo_inverse(spec: TNormSpec, y: float, tol: float) -> float:
 def _bisect_diagonal(spec: TNormSpec, level: float, lo: float, hi: float,
                      tol: float) -> tuple[float, float]:
     """The bracket [lo, hi] on which T(z, z) <= level turns false, narrowed
-    by bisection to width at most tol.  Expects the predicate true at lo and
-    false at hi, and keeps it so."""
+    by bisection to width at most tol, or to two adjacent floats where tol
+    is below their spacing (a midpoint equal to an end stops it).  Expects
+    the predicate true at lo and false at hi, and keeps it so.
+
+    The bracket and the midpoints read are those of halving one midpoint at
+    a time, ``mid = 0.5 * (lo + hi)``, so a diagonal that is not monotone
+    takes the same path.  One array call evaluates the diagonal at every
+    midpoint of the next 8 halvings, formed level by level with that same
+    arithmetic, and the halvings read the ones on their path.  If it raises
+    (an expression with a pole or a value outside [0, 1] off the path),
+    those halvings call eval_tnorm once each, whose error, if any, stands.
+    """
+    span = 2**8  # 255 midpoints cost about one scalar call's fixed overhead
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if eval_tnorm(spec, mid, mid) <= level:
-            lo = mid
-        else:
-            hi = mid
+        # b[k] are the bracket ends of the next halvings in order: the
+        # midpoint of b[i] and b[j] sits at (i + j) // 2
+        b = np.empty(span + 1)
+        b[0], b[span] = lo, hi
+        step = span
+        while step > 1:
+            ends = b[::step]
+            b[step // 2::step] = 0.5 * (ends[:-1] + ends[1:])
+            step //= 2
+        try:
+            # like check_gph's fallback: the scalar path's errors are the
+            # contract, so any error here defers to it
+            diagonal = tnorm_values(spec, b[1:-1], b[1:-1])
+        except Exception:
+            diagonal = None
+        i, j = 0, span
+        while j - i > 1 and hi - lo > tol:
+            k = (i + j) // 2
+            mid = float(b[k])
+            if mid == lo or mid == hi:
+                return lo, hi
+            t = (eval_tnorm(spec, mid, mid) if diagonal is None
+                 else diagonal[k - 1])
+            if t <= level:
+                lo, i = mid, k
+            else:
+                hi, j = mid, k
     return lo, hi
 
 

@@ -11,6 +11,7 @@ from tnormlab.core import (
     OrdinalSum,
     Product,
     SchweizerSklar,
+    eval_tnorm,
 )
 
 #: absolute tolerance on a recovered parameter, as in bench/oracle.py.
@@ -93,3 +94,20 @@ def grid():
 @pytest.fixture(scope="session")
 def coarse_grid():
     return GridSpec(points=21, samples=500)
+
+
+def one_midpoint_bisection(spec, level, lo, hi, tol, path=None):
+    """core._bisect_diagonal's bracket, one eval_tnorm call per halving:
+    the reference that its array calls must match bit for bit.  Appends
+    each midpoint it reads to ``path`` when one is given."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the bracket cannot shrink
+        if path is not None:
+            path.append(mid)
+        if eval_tnorm(spec, mid, mid) <= level:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -34,6 +34,7 @@ from conftest import (
     MATRIX_IDS,
     ORDINAL_SUMS,
     PARAM_TOL,
+    one_midpoint_bisection,
 )
 
 # the package re-exports the function under the module's name
@@ -235,6 +236,20 @@ def test_classify_cshelf_edge_bits(c, edge, grid):
     assert classify(CShelf(c), grid).parameter == edge
 
 
+@pytest.mark.parametrize("c", [0.001, 0.25, 0.5, 0.999])
+def test_classify_cshelf_edge_is_the_one_midpoint_bisection(c, grid):
+    spec = CShelf(c)
+    diagonal = tnorm_values(spec, FIT_AXIS, FIT_AXIS)
+    shape, bracket = classify_module._diagonal_shape(FIT_AXIS, diagonal,
+                                                     grid.eq_tol)
+    assert shape == "shelf"
+    expected = one_midpoint_bisection(spec, grid.eq_tol, *bracket,
+                                      grid.step_h)
+    assert core._bisect_diagonal(spec, grid.eq_tol, *bracket,
+                                 grid.step_h) == expected
+    assert classify(spec, grid).parameter == expected[0]
+
+
 #: a product with a pole at z = 2^-13, the fit axis's first interior point.
 POLE_ON_FIT_AXIS = "x*y+0*(1/(x-0.0001220703125))"
 
@@ -393,8 +408,8 @@ def test_classify_evaluates_validation_lattice_once(grid, monkeypatch):
                                    EINSTEIN])
 def test_classify_evaluates_the_diagonal_once(token, grid, monkeypatch):
     # one diagonal vector, on the fit axis, decides the candidates and feeds
-    # the fit; the diagonal scan is not consulted.  Single points are the
-    # shelf edge's bisection steps.
+    # the fit; the diagonal scan is not consulted.  The shelf edge's
+    # bisection adds one array call, inside a single cell of the axis.
     spec = parse_spec(token)
     diagonals = []
 
@@ -411,8 +426,9 @@ def test_classify_evaluates_the_diagonal_once(token, grid, monkeypatch):
         monkeypatch.setattr(module, "tnorm_values", recording)
     monkeypatch.setattr(analysis, "scan_diagonal", no_scan)
     classify(spec, grid)
-    assert len(diagonals) == 1
+    assert len(diagonals) == (2 if isinstance(spec, CShelf) else 1)
     assert np.array_equal(diagonals[0], FIT_AXIS)
+    assert all(np.ptp(z) < FIT_AXIS[1] for z in diagonals[1:])
     assert not hasattr(classify_module, "scan_diagonal")
 
 

@@ -464,6 +464,17 @@ def test_classify_pole_on_the_fit_axis_exits_2(capsys):
     assert "division by zero" in err
 
 
+def test_classify_step_below_float_spacing_finds_the_shelf():
+    # a subprocess, so that a shelf-edge bisection that never ends fails
+    # the test instead of hanging it
+    proc = subprocess.run(
+        [sys.executable, "-m", "tnormlab", "classify", "--tnorm", "cshelf:0.3",
+         "--points", "21", "--step-h", "1e-20"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("family=CShelf parameter=0.3 ")
+
+
 def test_classify_precondition_exits_2(capsys):
     code, _, err = run(capsys, "classify", "--tnorm", "expr:x*y/2",
                        "--points", "21", "--samples", "100")

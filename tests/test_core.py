@@ -1,4 +1,8 @@
+import ast
 import math
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from tnormlab.core import (
     diagonal_pseudo_inverse,
     eval_companion,
     eval_tnorm,
+    spec_label,
     t_power,
     tnorm_values,
 )
@@ -34,6 +39,7 @@ from conftest import (
     FAMILY_MATRIX,
     MATRIX_IDS,
     ORDINAL_SUMS,
+    one_midpoint_bisection,
     paper_companion,
 )
 
@@ -545,6 +551,159 @@ def test_pseudo_inverse_rejects_non_monotone():
     wiggle = Expr("min(x, y) * max(1 - x, 0.2)")  # not a t-norm diagonal
     with pytest.raises(StructuralError):
         diagonal_pseudo_inverse(wiggle, 0.2, 1e-9)
+
+
+#: the closed-form power kinds and pseudo-inverse levels of the powers
+#: benchmark workload.
+POWER_SPECS = [Product(), Lukasiewicz()] + [
+    spec for _, spec, _ in FAMILY_MATRIX if isinstance(spec, SchweizerSklar)]
+PSEUDO_INVERSE_LEVELS = (0.01, 0.1, 0.3, 0.6, 0.9)
+
+
+def sampled_cell(spec, y):
+    """The 1/128 cell from which diagonal_pseudo_inverse bisects."""
+    zs = np.linspace(0.0, 1.0, 129)
+    k = max(int(np.argmax(tnorm_values(spec, zs, zs) > y)), 1)
+    return float(zs[k - 1]), float(zs[k])
+
+
+@pytest.mark.parametrize("spec", POWER_SPECS, ids=spec_label)
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_bisection_matches_one_midpoint_loop(spec, tol):
+    for y in PSEUDO_INVERSE_LEVELS:
+        cell = sampled_cell(spec, y)
+        bracket = one_midpoint_bisection(spec, y, *cell, tol)
+        assert core._bisect_diagonal(spec, y, *cell, tol) == bracket, y
+        assert diagonal_pseudo_inverse(spec, y, tol) == 0.5 * sum(bracket), y
+
+
+def test_bisection_follows_a_diagonal_that_dips_between_samples():
+    # z^2, dented by up to 0.01 on |z - c| < 1/512 inside the cell
+    # [70/128, 71/128] that holds sqrt(0.3); every 129-point sample is
+    # outside the dent, so the sampled diagonal is monotone
+    c = 70.3 / 128
+    spec = Expr(f"max(x*y - 0.01*max(0, 1 - (512*(x - {c!r}))^2), 0)")
+    y, tol = 0.3, 1e-12
+    bracket = one_midpoint_bisection(spec, y, *sampled_cell(spec, y), tol)
+    assert sampled_cell(spec, y) == (70 / 128, 71 / 128)
+    assert abs(bracket[0] - math.sqrt(0.3)) > 1e-3  # the dent moved the path
+    assert core._bisect_diagonal(spec, y, 70 / 128, 71 / 128, tol) == bracket
+    assert diagonal_pseudo_inverse(spec, y, tol) == 0.5 * sum(bracket)
+
+
+def _product_spoiled_at(z0, how):
+    """Product, with a pole or a value above 1 at z = z0 alone."""
+    if how == "pole":
+        return Expr(f"x*y + 0/(x - {z0!r})")
+    return Expr(f"x*y + max(0, 1 - 1e30*(x - {z0!r})^2)")
+
+
+@pytest.mark.parametrize("how", ["pole", "out_of_range"])
+@pytest.mark.parametrize("halving", [0, 9])
+def test_bisection_ignores_a_bad_point_off_its_path(how, halving):
+    """The bad point is a midpoint of the array call that holds halving + 1
+    but on the other side of the path: the array call raises, and the
+    halvings that read one midpoint at a time never meet it."""
+    y, tol = 0.3, 1e-12
+    cell = sampled_cell(Product(), y)
+    path = []
+    bracket = one_midpoint_bisection(Product(), y, *cell, tol, path)
+    ends = [cell[0], cell[1], *path[:halving]]
+    before = (max(e for e in ends if e <= path[halving]),
+              min(e for e in ends if e >= path[halving]))
+    went_up = path[halving + 1] > path[halving]
+    z0 = 0.5 * (before[0] + path[halving]) if went_up else \
+        0.5 * (path[halving] + before[1])
+    assert z0 not in path
+    spec = _product_spoiled_at(z0, how)
+    with pytest.raises((DomainError, dsl.EvalError)):
+        eval_tnorm(spec, z0, z0)
+    assert core._bisect_diagonal(spec, y, *cell, tol) == bracket
+    assert diagonal_pseudo_inverse(spec, y, tol) == 0.5 * sum(bracket)
+
+
+@pytest.mark.parametrize("how", ["pole", "out_of_range"])
+def test_bisection_raises_the_loop_error_on_its_path(how):
+    y, tol = 0.3, 1e-12
+    cell = sampled_cell(Product(), y)
+    path = []
+    one_midpoint_bisection(Product(), y, *cell, tol, path)
+    spec = _product_spoiled_at(path[2], how)
+    with pytest.raises((DomainError, dsl.EvalError)) as loop:
+        one_midpoint_bisection(spec, y, *cell, tol)
+    with pytest.raises(loop.type) as batched:
+        core._bisect_diagonal(spec, y, *cell, tol)
+    assert str(batched.value) == str(loop.value)
+
+
+def guarded(call):
+    """The value of ``call`` (Python source over tnormlab.core), computed in
+    a subprocess with a timeout, so that a bisection that never ends fails
+    the test instead of hanging it."""
+    code = ("from tnormlab import core\n"
+            "from tnormlab.core import diagonal_pseudo_inverse, parse_spec\n"
+            f"print(repr({call}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+@pytest.mark.parametrize("spec,y,tol", [(Product(), 0.3, 1e-17),
+                                        (SchweizerSklar(-2.0), 0.6, 5e-324)])
+def test_pseudo_inverse_below_float_spacing_returns(spec, y, tol):
+    z = guarded(f"diagonal_pseudo_inverse(parse_spec({spec_label(spec)!r}),"
+                f" {y!r}, {tol!r})")
+    lo, hi = one_midpoint_bisection(spec, y, *sampled_cell(spec, y), tol)
+    assert hi == math.nextafter(lo, 1.0)
+    assert z == 0.5 * (lo + hi)
+
+
+# --------------------------------------------------------------------------
+# t-powers
+# --------------------------------------------------------------------------
+
+def sequential_powers(spec, x, n):
+    """x^(1), ..., x^(n) by the recursion x^(k) = T(x, x^(k-1))."""
+    powers = [x]
+    for _ in range(n - 1):
+        powers.append(eval_tnorm(spec, x, powers[-1]))
+    return powers
+
+
+def bits(v):
+    return struct.pack("<d", v)
+
+
+#: Lukasiewicz with the zero signed: -0.0 where y < 0.1, else 0.0.  At
+#: x = 0.5 the powers go 0.5, 0.0, then -0.0, which reads back as 0.0.
+SIGNED_ZERO_LUK = Expr("max(x + y - 1, -0*(0.1 - y))")
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec, _ in FAMILY_MATRIX]
+                         + [Lukasiewicz(), *ORDINAL_SUMS, EXPR_TNORMS[1],
+                            SIGNED_ZERO_LUK], ids=spec_label)
+def test_t_power_equals_the_sequential_recursion(spec):
+    for x in (0.5, 0.95):
+        expected = sequential_powers(spec, x, 60)
+        assert [bits(t_power(spec, x, n)) for n in range(1, 61)] == \
+            [bits(p) for p in expected], x
+
+
+def test_t_power_stops_at_its_fixed_point(monkeypatch):
+    expected = sequential_powers(SchweizerSklar(2.0), 0.99, 200)[-1]
+    calls = []
+
+    def counted(spec, x, y):
+        calls.append((x, y))
+        return eval_tnorm(spec, x, y)
+
+    monkeypatch.setattr(core, "eval_tnorm", counted)
+    assert t_power(SchweizerSklar(2.0), 0.99, 200) == expected == 0.0
+    assert len(calls) <= 52
+    calls.clear()
+    assert t_power(Lukasiewicz(), 0.9, 10**9) == 0.0
+    assert len(calls) == 10  # 0.8, ..., 0.1, 0, then 0 again
 
 
 # --------------------------------------------------------------------------
