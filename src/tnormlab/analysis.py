@@ -16,8 +16,9 @@ and the diagonal's monotonicity report the first violation in scan order;
 sweeps (the scaling equation and its l = 1 line, grid jumps, the minimum
 equivalences) the first maximal one.  :func:`check_gph` is the scaling
 equation's one witness pipeline: grid sweep, seeded samples, then an
-ordinal sum's targeted probes.  :func:`find_gph_counterexample` and
-``classify`` let the first maximal probe win whenever it exceeds eq_tol.
+ordinal sum's targeted probes.  :func:`_deciding_probe` owns the rule that
+the first maximal probe is the verdict whenever it exceeds eq_tol, for
+:func:`find_gph_counterexample` and ``classify``.
 
 Continuity cannot be decided from finitely many samples.  The two checks
 that talk about it use a grid-jump surrogate (adjacent values differing by
@@ -301,33 +302,13 @@ def check_axioms(spec: TNormSpec, grid: GridSpec = GridSpec(),
 # Scaling-equation sweeps
 # --------------------------------------------------------------------------
 
-def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t,
-                   at=None, cells=None, out=(None,) * 6):
+def _scaling_piece(spec: TNormSpec, comp: CompanionF, lam, x, y, t):
     """(residual, lam, x, y, lhs, rhs) for both sides of the scaling
-    equation, lhs = T(l*x, l*y) and rhs = F(l, T(x, y)).  With ``at``
-    omitted ``t`` is T(x, y) and both sides are evaluated entrywise; else
-    ``lam`` is a block of lambdas on a leading axis, ``t`` holds distinct
-    values with t[at] = T(x, y), and F(l, t) is gathered at ``at``.  With
-    ``cells`` = (g, ix, iy), x = g[ix] and y = g[iy], a spec's
-    ``argument_power`` is taken once per (l, g) and gathered.  ``out``
-    holds the buffers of l*x, l*y, the two gathered powers, rhs and the
-    residual (None allocates); a piece formed in them is valid only until
-    the next piece is requested."""
-    lx = np.multiply(lam, x, out=out[0])
-    ly = np.multiply(lam, y, out=out[1])
-    if cells is None or spec.argument_power is None:
-        lhs = tnorm_values(spec, lx, ly)
-    else:
-        g, ix, iy = cells
-        table = spec.argument_power(lam * g)
-        lhs = spec.join(lx, ly,
-                        np.take(table, ix, axis=1, out=out[2], mode="clip"),
-                        np.take(table, iy, axis=1, out=out[3], mode="clip"))
+    equation evaluated entrywise, lhs = T(l*x, l*y) and rhs = F(l, t) with
+    t = T(x, y)."""
+    lhs = tnorm_values(spec, lam * x, lam * y)
     rhs = companion_values(comp, lam, t)
-    if at is not None:
-        rhs = np.take(rhs, at, axis=1, out=out[4], mode="clip")
-    res = np.subtract(lhs, rhs, out=out[5])
-    return np.abs(res, out=out[5]), lam, x, y, lhs, rhs
+    return np.abs(lhs - rhs), lam, x, y, lhs, rhs
 
 
 def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,21 +343,39 @@ def _gph_slices(spec: TNormSpec, comp: CompanionF, grid: GridSpec):
     T(x, y), so each slice evaluates it once per distinct T value and
     gathers.  So does the lhs with a spec's ``argument_power``, once per
     (l, axis point).  Every piece is formed in one workspace allocated per
-    call, so a piece is valid only until the next piece is requested.  Its
-    maximum is the reference sweep's; its errors need not be."""
+    call, so a piece is valid only until the next piece is requested; the
+    block's other temporaries (its lhs, the power table) are freed with
+    the piece, before the next block is formed.  Its maximum is the
+    reference sweep's; its errors need not be."""
     g = grid.axis()
     n = g.size
     ix, iy = (np.triu_indices(n) if spec.symmetric
               else np.indices((n, n)).reshape(2, -1))
     x, y = g[ix], g[iy]
     t, at = _distinct(tnorm_values(spec, x, y))
-    lams = g[:, None]
     step = max(1, _BLOCK // at.size)
     work = np.empty((6, min(step, n), at.size))
+
+    def piece(lam):
+        """The block ``lam`` formed in the workspace: l*x, l*y, the two
+        gathered powers, the gathered rhs and the residual."""
+        out = work[:, :lam.shape[0]]
+        lx = np.multiply(lam, x, out=out[0])
+        ly = np.multiply(lam, y, out=out[1])
+        if spec.argument_power is None:
+            lhs = tnorm_values(spec, lx, ly)
+        else:
+            table = spec.argument_power(lam * g)
+            lhs = spec.join(lx, ly,
+                            np.take(table, ix, axis=1, out=out[2], mode="clip"),
+                            np.take(table, iy, axis=1, out=out[3], mode="clip"))
+        rhs = np.take(companion_values(comp, lam, t), at, axis=1, out=out[4],
+                      mode="clip")
+        res = np.subtract(lhs, rhs, out=out[5])
+        return np.abs(res, out=res), lam, x, y, lhs, rhs
+
     for start in range(0, n, step):
-        lam = lams[start:start + step]
-        yield _scaling_piece(spec, comp, lam, x, y, t, at, (g, ix, iy),
-                             work[:, :lam.shape[0]])
+        yield piece(g[start:start + step, None])
 
 
 def _targeted_probes(spec: TNormSpec, f: Optional[CompanionF]):
@@ -407,6 +406,13 @@ def _targeted_probes(spec: TNormSpec, f: Optional[CompanionF]):
     comp = Canonical(spec) if f is None else f
     return [p[0] for p in probes], [
         _scaling_piece(spec, comp, lam, x, y, tnorm_values(spec, x, y))]
+
+
+def _deciding_probe(probes, eq_tol: float) -> Optional[tuple[float, Witness]]:
+    """(gap, witness) of the first maximal targeted probe when its gap
+    exceeds ``eq_tol``, the verdict whatever else is swept; else None."""
+    probed = _first_max(probes) if probes else (0.0, None)
+    return probed if probed[0] > eq_tol else None
 
 
 def check_gph(spec: TNormSpec, f: Optional[CompanionF] = None,
@@ -824,7 +830,7 @@ def find_gph_counterexample(spec: TNormSpec, grid: GridSpec = GridSpec()) -> Rep
                                gap.tolist())]
     witness, max_residual = sweep.witness, sweep.max_residual
     source = "sweep" if witness is not None else None
-    if probes and (probed := _first_max(probes))[0] > grid.eq_tol:
+    if probed := _deciding_probe(probes, grid.eq_tol):
         max_residual, witness = probed
         source = max(targeted, key=lambda row: row["gap"])["case"]
 

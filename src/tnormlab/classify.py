@@ -47,8 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GridSpec, _diagonal_shape, _first_max, _gph_report,
-                       _targeted_probes, check_axioms)
+from .analysis import (GridSpec, _deciding_probe, _diagonal_shape,
+                       _gph_report, _targeted_probes, check_axioms)
 from .core import (
     CShelf,
     Drastic,
@@ -256,8 +256,7 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
             f"{axioms.summary()}")
 
     _, probes = _targeted_probes(spec, None)
-    gap, witness = _first_max(probes) if probes else (0.0, None)
-    if gap <= grid.eq_tol:
+    if not (probed := _deciding_probe(probes, grid.eq_tol)):
         lattice = grid.validation_axis()
         vx, vy = lattice[:, None], lattice[None, :]
         T_valid = tnorm_values(spec, vx, vy)
@@ -273,7 +272,8 @@ def classify(spec: TNormSpec, grid: GridSpec = GridSpec(),
                 return ClassificationResult(family, parameter, residual,
                                             tuple(evidence))
         sweep = _gph_report(spec, None, grid, lambda: probes)
-        gap, witness = sweep.max_residual, sweep.witness
+        probed = sweep.max_residual, sweep.witness
+    gap, witness = probed
     evidence.append({"test": "gph_counterexample", "passed": witness is None,
                      "detail": {"witness": witness and witness.to_dict(),
                                 "max_residual": gap}})

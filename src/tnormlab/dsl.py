@@ -12,9 +12,11 @@ Grammar (stable public contract)::
 "^" is right-associative and binds tighter than unary minus on its left
 ("-x^2" is -(x^2), "a^b^c" is a^(b^c)).  NUMBER is an unsigned decimal
 literal with optional fraction and exponent ("2", "0.25", "1e-3").
-Whitespace is insignificant.  Implicit multiplication is rejected; "*" is
-always explicit.  There is no lambda variable: scaling checks substitute
-the scale factor into ``x`` of a two-variable expression.
+Tokens are ASCII; whitespace (any Unicode space) is insignificant, and any
+other character is a :class:`ParseError`.  Implicit multiplication is
+rejected; "*" is always explicit.  There is no lambda variable: scaling
+checks substitute the scale factor into ``x`` of a two-variable
+expression.
 
 ``serialize`` emits a fully parenthesized canonical form that reparses to
 a structurally identical tree for every tree ``parse`` accepts.
@@ -143,9 +145,11 @@ class EvalError(Exception):
 # Tokenizer
 # --------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = "+-*/^(),"
+#: every token, read and classed by one ASCII pattern: a NUMBER, an
+#: identifier, a punctuation character, or whitespace (any Unicode space).
+_TOKEN_RE = re.compile(r"(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<punct>[-+*/^(),])|(?P<space>\s+)")
 
 
 @dataclass(frozen=True)
@@ -165,28 +169,15 @@ class _Token:
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
     i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            m = _NUMBER_RE.match(source, i)
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(source, i)
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(i, "a token", repr(ch))
-    tokens.append(_Token("end", "", n))
+    while i < len(source):
+        m = _TOKEN_RE.match(source, i)
+        if m is None:
+            raise ParseError(i, "a token", repr(source[i]))
+        if m.lastgroup != "space":
+            kind = m.group() if m.lastgroup == "punct" else m.lastgroup
+            tokens.append(_Token(kind, m.group(), i))
+        i = m.end()
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import weakref
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import lru_cache
 from itertools import chain, islice
@@ -256,30 +257,44 @@ HALF_SWEEP_CASES = (
     + [(spec, None) for spec in EXPR_TNORMS])
 
 
-def full_cube_slices(spec, f, points):
-    """Each lambda slice of the full points^3 cube as (residual, lambda,
-    lhs, rhs) tables over the (x, y) grid, the companion evaluated on every
-    entry of T(x, y): a reference independent of the sweep engine."""
-    comp = Canonical(spec) if f is None else f
-    g = GridSpec(points=points).axis()
-    t = tnorm_values(spec, g[:, None], g[None, :])
-    for lam in g:
-        lhs = tnorm_values(spec, lam * g[:, None], lam * g[None, :])
+def sliced_gph_slices(spec, comp, grid, half=False):
+    """The scaling-equation sweep one lambda at a time, both sides evaluated
+    on every entry of the slice, over the full (x, y) grid or its upper
+    triangle: a reference independent of the sweep engine, in the piece
+    shape of ``_gph_slices`` (a leading axis of one lambda)."""
+    g = grid.axis()
+    if half:
+        i, j = np.triu_indices(g.size)
+        x, y = g[i], g[j]
+    else:
+        x, y = g[:, None], g[None, :]
+    t = tnorm_values(spec, x, y)
+    for lam in g.reshape((-1, 1) + (1,) * x.ndim):
+        lhs = tnorm_values(spec, lam * x, lam * y)
         rhs = companion_values(comp, lam, t)
-        yield np.abs(lhs - rhs), lam, lhs, rhs
+        yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
+
+
+def piece_rows(pieces):
+    """The (lambda, x, y, lhs, rhs, residual) rows of ``pieces``, each piece
+    in C order."""
+    for res, *slots in pieces:
+        yield from zip(*(np.broadcast_to(a, res.shape).ravel().tolist()
+                         for a in (*slots, res)))
 
 
 @lru_cache(maxsize=None)
 def full_cube_first_max(spec, f, points):
     """(lambda, x, y, lhs, rhs, residual) at the first maximal residual of
     the full cube, slices in lambda order and entries in C order."""
-    g = GridSpec(points=points).axis()
+    comp = Canonical(spec) if f is None else f
     best = None
-    for res, lam, lhs, rhs in full_cube_slices(spec, f, points):
-        i, j = np.unravel_index(int(np.argmax(res)), res.shape)
-        if best is None or res[i, j] > best[5]:
-            best = (lam, g[i], g[j], lhs[i, j], rhs[i, j], res[i, j])
-    return tuple(float(v) for v in best)
+    for piece in sliced_gph_slices(spec, comp, GridSpec(points=points)):
+        i = int(np.argmax(piece[0]))
+        if best is None or piece[0].flat[i] > best[5]:
+            best = tuple(float(np.broadcast_to(a, piece[0].shape).flat[i])
+                         for a in (*piece[1:], piece[0]))
+    return best
 
 
 @pytest.mark.parametrize("points", [51, 151])
@@ -309,14 +324,9 @@ def test_residual_rows_match_full_cube():
     """The CSV rows carry the full cube's values bit for bit, every
     companion value evaluated directly."""
     spec = ORDINAL_SUMS[2]
-    g = GridSpec(points=51).axis()
-    x, y = np.repeat(g, g.size), np.tile(g, g.size)
-    expected = [row
-                for res, lam, lhs, rhs in full_cube_slices(spec, None, 51)
-                for row in zip([float(lam)] * x.size, x.tolist(), y.tolist(),
-                               lhs.ravel().tolist(), rhs.ravel().tolist(),
-                               res.ravel().tolist())]
-    rows = list(residual_rows(spec, None, GridSpec(points=51, samples=0)))
+    grid = GridSpec(points=51, samples=0)
+    expected = list(piece_rows(sliced_gph_slices(spec, Canonical(spec), grid)))
+    rows = list(residual_rows(spec, None, grid))
     assert rows == expected
     assert max(rows, key=itemgetter(5)) == full_cube_first_max(spec, None, 51)
 
@@ -369,23 +379,6 @@ BLOCK_SWEEPS = [
     for points in (11, 51, 101) + ((151,) if tnorm.startswith("ss:") else ())]
 
 
-def sliced_gph_slices(spec, comp, grid, half=False):
-    """The scaling-equation sweep one lambda at a time, both sides evaluated
-    on every entry of the slice: a reference for the blocked sweep, in the
-    piece shape of ``_gph_slices`` (a leading axis of one lambda)."""
-    g = grid.axis()
-    if half:
-        i, j = np.triu_indices(g.size)
-        x, y = g[i], g[j]
-    else:
-        x, y = g[:, None], g[None, :]
-    t = tnorm_values(spec, x, y)
-    for lam in g.reshape((-1, 1) + (1,) * x.ndim):
-        lhs = tnorm_values(spec, lam * x, lam * y)
-        rhs = companion_values(comp, lam, t)
-        yield np.abs(lhs - rhs), lam, x, y, lhs, rhs
-
-
 def rows_digest(rows) -> str:
     """sha256 of the float bits of ``rows`` of six floats, in order."""
     h = hashlib.sha256()
@@ -417,12 +410,8 @@ def test_residual_rows_match_slice_by_slice(tnorm, f, points):
     grid = GridSpec(points=points)
     slices = sliced_gph_slices(spec, Canonical(spec) if f is None else comp,
                                grid)
-    expected = chain.from_iterable(
-        zip(*(np.broadcast_to(a, res.shape).ravel().tolist()
-              for a in (lam, x, y, lhs, rhs, res)))
-        for res, lam, x, y, lhs, rhs in slices)
     assert rows_digest(residual_rows(spec, comp, grid)) == \
-        rows_digest(expected)
+        rows_digest(piece_rows(slices))
 
 
 SS_MATRIX = [(name, s) for name, s, _ in FAMILY_MATRIX
@@ -482,6 +471,38 @@ def test_pieces_share_one_workspace(spec):
         pieces += 1
     # blocks of 12 lambda slices on the half layout, of 6 on the full one
     assert pieces == (5 if spec.symmetric else 9)
+
+
+@pytest.mark.parametrize("spec", [Product(), SchweizerSklar(-0.5)],
+                         ids=["prod", "ss:-0.5"])
+def test_block_temporaries_die_with_their_piece(monkeypatch, spec):
+    """Once a piece is dropped, its lhs (and the power table it was
+    gathered from) is freed before the next block's kernel call starts:
+    the sweep keeps no block's temporaries past its piece."""
+    refs = []
+    calls = 0
+
+    def hook(kernel):
+        def call(*args):
+            nonlocal calls
+            assert all(ref() is None for ref in refs)
+            calls += 1
+            out = kernel(*args)
+            refs.append(weakref.ref(out))
+            return out
+        return call
+
+    if spec.argument_power is None:
+        monkeypatch.setattr(an, "tnorm_values", hook(tnorm_values))
+    else:
+        monkeypatch.setattr(SchweizerSklar, "power",
+                            hook(SchweizerSklar.power))
+    pieces = 0
+    for piece in an._gph_slices(spec, Canonical(spec), GridSpec(points=51)):
+        refs.append(weakref.ref(piece[4]))
+        del piece
+        pieces += 1
+    assert pieces == 5 and calls >= pieces
 
 
 @pytest.mark.parametrize("tnorm", ["ss:-0.5", "min",

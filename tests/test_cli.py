@@ -265,6 +265,21 @@ def test_bad_expression_reports_position(capsys):
     assert "offset 6" in err  # within the expression source
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--tnorm", "expr:x*é", "--x", ".5", "--y", ".5"],
+    ["eval", "--tnorm", "expr:x^²", "--x", ".5", "--y", ".5"],
+    ["verify", "--tnorm", "prod", "--f-expr", "x*é"],
+    ["counterexample", "--tnorm", "expr:x*é"],
+    ["classify", "--tnorm", "expr:x*٣"]],
+    ids=["eval-letter", "eval-superscript", "verify-companion",
+         "counterexample", "classify"])
+def test_non_ascii_expression_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "offset 2" in err
+
+
 def test_degenerate_beta_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--tnorm", "ss:0", "--x", "0", "--y", "0")
     assert code == 2
@@ -307,7 +322,8 @@ def assert_exit_code_contract(argv):
 
 
 #: DSL strings: grammar-shaped ones (literals that overflow, vanish or are
-#: zero included) and arbitrary text over the DSL's own characters.
+#: zero included) and arbitrary text over the DSL's own characters, a
+#: non-ASCII letter, digits outside ASCII and a non-breaking space.
 _DSL_SOURCES = st.one_of(
     st.recursive(
         st.one_of(st.sampled_from(["x", "y", "0", "1", "0.5", "2", "1e-3",
@@ -321,7 +337,7 @@ _DSL_SOURCES = st.one_of(
             .map(lambda t: "{}({},{})".format(*t)),
         ),
         max_leaves=10),
-    st.text(alphabet="xy0123456789.e+-*/^(),minax ", max_size=24),
+    st.text(alphabet="xy0123456789.e+-*/^(),minax é²٣\u00a0", max_size=24),
 )
 
 

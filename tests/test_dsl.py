@@ -179,6 +179,21 @@ def test_tallest_accepted_tree_reparses_from_its_serialization(wrap):
         dsl.parse(dsl.serialize(_tree_of_height(wrap, dsl.MAX_DEPTH + 1)))
 
 
+@pytest.mark.parametrize("char", ["é", "²", "ª", "٣"],
+                         ids=["letter", "superscript", "ordinal", "arabic-digit"])
+@pytest.mark.parametrize("op", ["*", "^"])
+def test_non_ascii_character_is_a_parse_error(char, op):
+    """Tokens are ASCII: a letter or digit outside it is no token, where it
+    used to crash the tokenizer or, for an Arabic-Indic digit, read as 3."""
+    with pytest.raises(ParseError) as err:
+        dsl.parse("x" + op + char)
+    assert (err.value.position, err.value.found) == (2, repr(char))
+
+
+def test_unicode_whitespace_is_insignificant():
+    assert dsl.parse("x\u00a0*\ty") == dsl.parse("x*y")
+
+
 def test_implicit_multiplication_rejected():
     with pytest.raises(ParseError):
         dsl.parse("xy")
